@@ -39,7 +39,10 @@ def _read_system(path: str) -> PolySystem:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}", 1, 1)
-    return parse_system(text)
+    try:
+        return parse_system(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc.reason}", exc.line, exc.col) from None
 
 
 def _ordering_names(ordering) -> tuple[str, ...]:
@@ -142,7 +145,7 @@ def _cmd_bench(args, out) -> int:
         raise _UsageError(f"no .poly files in {args.problems}")
     picks: dict[str, dict[str, tuple[str, ...]]] = {h: {} for h in HEURISTICS}
     for path in poly_files:
-        system = parse_system(path.read_text(encoding="utf-8"))
+        system = _read_system(str(path))
         for h in HEURISTICS:
             picks[h][path.stem] = _ordering_names(choose(system, h).chosen)
     try:
@@ -210,3 +213,7 @@ def run(argv: list[str], out=None, err=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -18,7 +18,7 @@ from .poly import PolySystem, Variable
 from .projection import ProjectionSet, VariableOrdering, full_projection
 from .univariate import count_distinct_real_roots, to_univariate
 
-DEFAULT_VARIABLE_CAP = 7
+VARIABLE_CAP = 7
 
 HEURISTICS = ("brown", "sotd", "ndrr")
 
@@ -42,15 +42,13 @@ class HeuristicReport:
     chosen: VariableOrdering
 
 
-def enumerate_orderings(
-    variables: Sequence[Variable], cap: int = DEFAULT_VARIABLE_CAP
-) -> list[VariableOrdering]:
+def enumerate_orderings(variables: Sequence[Variable]) -> list[VariableOrdering]:
     """All orderings of the variables, in lexicographic tuple order."""
     n = len(variables)
     if n < 1:
         raise ValueError("no variables to order")
-    if n > cap:
-        raise ValueError(f"{n} variables exceed the enumeration cap of {cap}")
+    if n > VARIABLE_CAP:
+        raise ValueError(f"{n} variables exceed the enumeration cap of {VARIABLE_CAP}")
     return [tuple(p) for p in permutations(sorted(variables))]
 
 
@@ -118,9 +116,7 @@ def lex_tiebreak(candidates: Iterable[VariableOrdering]) -> VariableOrdering:
     return min(candidates, key=lambda t: tuple(v.name for v in t))
 
 
-def choose(
-    system: PolySystem, heuristic: str, cap: int = DEFAULT_VARIABLE_CAP
-) -> HeuristicReport:
+def choose(system: PolySystem, heuristic: str) -> HeuristicReport:
     """Run one heuristic on a system and report candidates and the choice."""
     if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {heuristic!r}")
@@ -132,7 +128,7 @@ def choose(
     metric = sotd_value if heuristic == "sotd" else ndrr_value
     per_ordering = {
         ordering: metric(full_projection(system, ordering))
-        for ordering in enumerate_orderings(system.variables, cap)
+        for ordering in enumerate_orderings(system.variables)
     }
     best = min(per_ordering.values())
     candidates = tuple(o for o, val in per_ordering.items() if val == best)

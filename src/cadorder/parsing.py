@@ -187,8 +187,7 @@ def parse_system(text: str) -> PolySystem:
         if p.is_zero():
             first = len(line) - len(line.lstrip()) + 1
             raise ParseError("polynomial simplifies to zero", lineno, first)
-        if p not in polys:
-            polys.append(p)
+        polys.append(p)
     if not polys:
         raise ParseError("empty system", 1, 1)
     return PolySystem.make(polys, variables=declared)

@@ -348,14 +348,6 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
 # -- resultants ------------------------------------------------------------
 
 
-def _coeff_list(p: Polynomial, v: Variable) -> list[Polynomial]:
-    """Dense coefficient list of p in v, trailing zeros trimmed."""
-    coeffs = p.coefficients_wrt(v)
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    return coeffs
-
-
 def _trim(coeffs: list[Polynomial]) -> list[Polynomial]:
     while coeffs and coeffs[-1].is_zero():
         coeffs.pop()
@@ -400,7 +392,7 @@ def resultant(p: Polynomial, q: Polynomial, v: Variable) -> Polynomial:
     if dp == 0:
         return p**dq
 
-    a, b = _coeff_list(p, v), _coeff_list(q, v)
+    a, b = _trim(p.coefficients_wrt(v)), _trim(q.coefficients_wrt(v))
     sign = 1
     if dp < dq:
         a, b = b, a

@@ -55,10 +55,16 @@ def reduce_level(polys: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
     return tuple(sorted(out, key=str))
 
 
-def _project(level: Sequence[Polynomial], v: Variable) -> tuple[Polynomial, ...]:
+def project_once(level: Iterable[Polynomial], v: Variable) -> tuple[Polynomial, ...]:
+    """Single projection step eliminating v: pass-through of members free of
+    v, all coefficients, discriminants of degree >= 2 members, and pairwise
+    resultants; reduced afterwards."""
+    members = list(level)
+    if not members:
+        raise ValueError("empty level")
     produced: list[Polynomial] = []
     involving = []
-    for p in level:
+    for p in members:
         if p.degree_in(v) == 0:
             produced.append(p)  # pass through untouched by elimination
         else:
@@ -70,16 +76,6 @@ def _project(level: Sequence[Polynomial], v: Variable) -> tuple[Polynomial, ...]
     for p, q in combinations(involving, 2):
         produced.append(resultant(p, q, v))
     return reduce_level(produced)
-
-
-def project_once(level: Iterable[Polynomial], v: Variable) -> tuple[Polynomial, ...]:
-    """Single projection step eliminating v: pass-through of members free of
-    v, all coefficients, discriminants of degree >= 2 members, and pairwise
-    resultants; reduced afterwards."""
-    members = list(level)
-    if not members:
-        raise ValueError("empty level")
-    return _project(members, v)
 
 
 def full_projection(system: PolySystem, ordering: Sequence[Variable]) -> ProjectionSet:
@@ -96,5 +92,5 @@ def full_projection(system: PolySystem, ordering: Sequence[Variable]) -> Project
         if not current:
             levels.append(())
         else:
-            levels.append(_project(current, ordering[k - 1]))
+            levels.append(project_once(current, ordering[k - 1]))
     return ProjectionSet(ordering, tuple(levels))

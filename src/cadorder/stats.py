@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from math import floor
@@ -43,21 +43,23 @@ class CellCountRow:
 @dataclass(frozen=True)
 class CellCountTable:
     rows: tuple[CellCountRow, ...]
+    # problem_id -> ordering -> row, built once by load_cell_table
+    index: Mapping[str, Mapping[Ordering, CellCountRow]] = field(repr=False, compare=False)
 
     def problems(self) -> list[str]:
-        return sorted({r.problem_id for r in self.rows})
+        return sorted(self.index)
 
     def rows_for(self, problem_id: str) -> list[CellCountRow]:
-        return [r for r in self.rows if r.problem_id == problem_id]
+        return list(self.index.get(problem_id, {}).values())
 
     def lookup(self, problem_id: str, ordering: Ordering) -> CellCountRow:
-        for r in self.rows:
-            if r.problem_id == problem_id and r.ordering == ordering:
-                return r
-        raise CellTableError(
-            f"no cell-count row for problem {problem_id!r}, "
-            f"ordering {'>'.join(ordering)}"
-        )
+        row = self.index.get(problem_id, {}).get(ordering)
+        if row is None:
+            raise CellTableError(
+                f"no cell-count row for problem {problem_id!r}, "
+                f"ordering {'>'.join(ordering)}"
+            )
+        return row
 
     def has_timeout(self, problem_id: str) -> bool:
         return any(r.timeout for r in self.rows_for(problem_id))
@@ -82,7 +84,7 @@ def load_cell_table(data: bytes | str) -> CellCountTable:
             f"bad header {','.join(header)!r}; expected {','.join(CSV_HEADER)!r}"
         )
     rows: list[CellCountRow] = []
-    seen: set[tuple[str, Ordering]] = set()
+    index: dict[str, dict[Ordering, CellCountRow]] = {}
     for lineno, record in enumerate(reader, start=2):
         if not record:
             continue
@@ -107,25 +109,20 @@ def load_cell_table(data: bytes | str) -> CellCountTable:
                     f"line {lineno}: cells must be a positive integer"
                 )
             cells = int(cells_text)
-        key = (problem, ordering)
-        if key in seen:
+        prows = index.setdefault(problem, {})
+        if ordering in prows:
             raise CellTableError(
                 f"line {lineno}: duplicate row for problem {problem!r}, "
                 f"ordering {ordering_text!r}"
             )
-        seen.add(key)
-        rows.append(CellCountRow(problem, ordering, cells, timeout))
+        prows[ordering] = CellCountRow(problem, ordering, cells, timeout)
+        rows.append(prows[ordering])
 
-    by_problem: dict[str, list[CellCountRow]] = {}
-    for r in rows:
-        by_problem.setdefault(r.problem_id, []).append(r)
-    for problem, prows in by_problem.items():
-        variables = sorted(prows[0].ordering)
-        expected = {tuple(p) for p in permutations(variables)}
-        got = {r.ordering for r in prows}
-        if got != expected:
+    for problem, prows in index.items():
+        variables = sorted(next(iter(prows)))
+        if set(prows) != {tuple(p) for p in permutations(variables)}:
             raise CellTableError(f"incomplete orderings for problem {problem!r}")
-    return CellCountTable(tuple(rows))
+    return CellCountTable(tuple(rows), index)
 
 
 def best_pick_counts(
@@ -217,8 +214,7 @@ def timeout_avoidance(table: CellCountTable, pick: Picks) -> int:
     """Among problems where some ordering timed out, how many picks finished."""
     count = 0
     for problem in sorted(pick):
-        prows = table.rows_for(problem)
-        if not any(r.timeout for r in prows):
+        if not table.has_timeout(problem):
             continue
         if not table.lookup(problem, pick[problem]).timeout:
             count += 1

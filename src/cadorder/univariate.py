@@ -1,9 +1,10 @@
 """Univariate polynomials over the rationals: gcd, squarefree part, Sturm
 sequences and exact counting of distinct real roots.
 
-All arithmetic uses Fraction, so root counts are exact.  Signs at plus or
-minus infinity are read off leading coefficients and degree parity, never by
-evaluating at large numbers.
+Polynomials hold Fraction coefficients; gcd, squarefree part and root
+counting run on integer coefficient lists scaled by positive factors, so root
+counts are exact.  Signs at plus or minus infinity are read off leading
+coefficients and degree parity, never by evaluating at large numbers.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import reduce
 from math import gcd as _int_gcd
 from typing import Iterable
 
-from .poly import Polynomial, Variable
+from .poly import Monomial, Polynomial, Variable
 
 
 @dataclass(frozen=True)
@@ -68,42 +69,14 @@ def to_univariate(p: Polynomial, v: Variable) -> UnivariatePolynomial:
 
 def to_polynomial(p: UnivariatePolynomial) -> Polynomial:
     """Integer-scale a univariate polynomial back to the sparse representation."""
-    from .poly import Monomial
-
-    denom = reduce(lambda a, b: a * b.denominator // _int_gcd(a, b.denominator),
-                   p.coefficients, 1)
-    terms = {}
-    for i, c in enumerate(p.coefficients):
-        n = c * denom
-        if n:
-            terms[Monomial([(p.variable, i)])] = int(n)
-    return Polynomial(terms)
+    return Polynomial({
+        Monomial([(p.variable, i)]): n for i, n in enumerate(_int_coeffs(p)) if n
+    })
 
 
-def _divmod(a: UnivariatePolynomial, b: UnivariatePolynomial):
-    if b.is_zero():
-        raise ZeroDivisionError("univariate division by zero")
-    v = a.variable
-    q = [Fraction(0)] * max(a.degree - b.degree + 1, 0)
-    r = list(a.coefficients)
-    db, lcb = b.degree, b.leading_coefficient
-    while len(r) - 1 >= db and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        shift = len(r) - 1 - db
-        factor = r[-1] / lcb
-        q[shift] = factor
-        for i, c in enumerate(b.coefficients):
-            r[i + shift] -= factor * c
-        r.pop()
-    return (UnivariatePolynomial.make(v, q), UnivariatePolynomial.make(v, r))
-
-
-# Integer-coefficient kernels.  Pseudo-remainders here are scaled only by
-# positive factors, so the sign pattern of a Sturm chain is preserved while
-# coefficient growth stays under control.
+# Coefficient-list kernels.  Pseudo-remainders are scaled only by positive
+# factors, so the sign pattern of a Sturm chain is preserved while coefficient
+# growth stays under control.
 
 
 def _int_coeffs(p: UnivariatePolynomial) -> list[int]:
@@ -126,7 +99,7 @@ def _pp_ints(a: list[int]) -> list[int]:
 
 
 def _prem_pos(a: list[int], b: list[int]) -> list[int]:
-    """Remainder of a by b times some positive integer factor."""
+    """Remainder of a by b times some positive factor, which is 1 when b is monic."""
     db, lc = len(b) - 1, b[-1]
     r = list(a)
     mult = abs(lc)
@@ -166,21 +139,6 @@ def _exact_div_ints(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
-def _primitive(p: UnivariatePolynomial) -> UnivariatePolynomial:
-    """Scale to integer-primitive coefficients with positive leading one."""
-    if p.is_zero():
-        return p
-    denom_lcm = reduce(
-        lambda a, b: a * b.denominator // _int_gcd(a, b.denominator),
-        p.coefficients, 1,
-    )
-    ints = [int(c * denom_lcm) for c in p.coefficients]
-    g = reduce(_int_gcd, (abs(n) for n in ints), 0)
-    if ints[-1] < 0:
-        g = -g
-    return UnivariatePolynomial.make(p.variable, [Fraction(n, g) for n in ints])
-
-
 def univariate_gcd(p: UnivariatePolynomial, q: UnivariatePolynomial) -> UnivariatePolynomial:
     """Gcd, normalized to integer-primitive with positive leading coefficient."""
     if p.is_zero() and q.is_zero():
@@ -216,10 +174,11 @@ def sturm_sequence(p: UnivariatePolynomial) -> list[UnivariatePolynomial]:
     if p.degree >= 1:
         chain.append(p.derivative())
         while chain[-1].degree >= 1:
-            rem = _divmod(chain[-2], chain[-1])[1]
-            if rem.is_zero():
+            b = chain[-1].coefficients
+            rem = _prem_pos(chain[-2].coefficients, [c / b[-1] for c in b])
+            if not rem:
                 break  # not squarefree; chain stops at the gcd
-            chain.append(UnivariatePolynomial.make(p.variable, [-c for c in rem.coefficients]))
+            chain.append(UnivariatePolynomial.make(p.variable, [-c for c in rem]))
     return chain
 
 

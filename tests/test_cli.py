@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cadorder
 from cadorder.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -132,9 +137,38 @@ class TestBench:
         code, _, err = invoke(self.ARGS[:-1] + [str(bad)])
         assert code == 3
 
+    def problems_with(self, tmp_path, name):
+        problems = tmp_path / "problems"
+        shutil.copytree(FIXTURES / "problems", problems)
+        return problems, problems / name
+
+    def test_parse_error_names_file_exit_2(self, tmp_path):
+        problems, bad = self.problems_with(tmp_path, "bad.poly")
+        bad.write_text("x^2 +\n")
+        code, out, err = invoke(["bench", "--problems", str(problems)] + self.ARGS[3:])
+        assert code == 2 and out == ""
+        assert f"{bad}: unexpected end of line" in err
+
+    def test_unreadable_poly_entry_exit_2(self, tmp_path):
+        problems, entry = self.problems_with(tmp_path, "dir.poly")
+        entry.mkdir()
+        code, out, err = invoke(["bench", "--problems", str(problems)] + self.ARGS[3:])
+        assert code == 2 and out == ""
+        assert f"cannot read {entry}" in err
+
     def test_byte_determinism(self):
         for fmt in ("text", "json", "csv"):
             first = invoke(self.ARGS + ["--format", fmt])
             second = invoke(self.ARGS + ["--format", fmt])
             assert first == second
             assert first[0] == 0
+
+
+def test_module_entry_point(demo_file):
+    env = dict(os.environ, PYTHONPATH=str(Path(cadorder.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cadorder.cli", "analyze", demo_file, "--heuristic", "brown"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "chosen: x>y>z" in proc.stdout

@@ -167,11 +167,22 @@ class TestSavings:
             assert savings_percent(SIX, {"p1": o})["p1"] <= best
             assert savings_percent(SIX, {"p1": o})["p1"] < 100
 
+    def test_unknown_problem(self):
+        with pytest.raises(CellTableError, match="unknown problem"):
+            savings_percent(SIX, {"p2": ("x", "y", "z")})
+
     def test_mean_over_all_orderings_is_zero(self):
         orderings = [("x", "y", "z"), ("x", "z", "y"), ("y", "x", "z"),
                      ("y", "z", "x"), ("z", "x", "y"), ("z", "y", "x")]
         total = sum(savings_percent(SIX, {"p1": o})["p1"] for o in orderings)
         assert total == 0
+
+
+class TestComputeReport:
+    def test_pick_for_absent_problem(self):
+        picks = {h: {"p2": ("x", "y", "z")} for h in ("brown", "sotd", "ndrr")}
+        with pytest.raises(CellTableError, match="no cell-count row"):
+            compute_report(SIX, picks)
 
 
 class TestSummarize:

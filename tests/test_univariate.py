@@ -84,6 +84,11 @@ class TestSturmSequence:
     def test_no_real_roots(self):
         assert sturm_sequence(upoly(1, 0, 1)) == [upoly(1, 0, 1), upoly(0, 2), upoly(-1)]
 
+    def test_rational_chain_is_not_rescaled(self):
+        assert sturm_sequence(upoly(1, -3, 0, 1)) == [
+            upoly(1, -3, 0, 1), upoly(-3, 0, 3), upoly(-1, 2), upoly(Fraction(9, 4)),
+        ]
+
 
 class TestRootCounting:
     @pytest.mark.parametrize(
