@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .heuristics import HEURISTICS, choose, enumerate_orderings, ndrr_value, sotd_value
 from .parsing import ParseError, parse_system, render
-from .poly import PolySystem
+from .poly import Polynomial, PolySystem
 from .projection import format_ordering, full_projection, parse_ordering
 from .stats import CellTableError, compute_report, emit_report, load_cell_table
 from .univariate import count_distinct_real_roots, to_univariate
@@ -45,6 +45,18 @@ def _read_system(path: str) -> PolySystem:
         raise ParseError(f"{path}: {exc.reason}", exc.line, exc.col) from None
 
 
+def _source_position(path: str, p: Polynomial) -> tuple[int, int]:
+    """Line and first column of the first line of an already parsed file
+    that reads as p on its own."""
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            if parse_system(line).polynomials == (p,):
+                return lineno, len(line) - len(line.lstrip()) + 1
+        except ParseError:
+            pass
+    return 1, 1
+
+
 def _ordering_names(ordering) -> tuple[str, ...]:
     return tuple(v.name for v in ordering)
 
@@ -63,10 +75,7 @@ def _cmd_analyze(args, out) -> int:
                         if r.per_ordering is None
                         else {
                             format_ordering(o): v
-                            for o, v in sorted(
-                                r.per_ordering.items(),
-                                key=lambda it: _ordering_names(it[0]),
-                            )
+                            for o, v in sorted(r.per_ordering.items())
                         }
                     ),
                     "candidates": [format_ordering(c) for c in r.candidates],
@@ -81,7 +90,7 @@ def _cmd_analyze(args, out) -> int:
             out.write(f"heuristic {r.heuristic}\n")
             if r.per_ordering is not None:
                 out.write("  per-ordering:\n")
-                for o in sorted(r.per_ordering, key=_ordering_names):
+                for o in sorted(r.per_ordering):
                     out.write(f"    {format_ordering(o)}: {r.per_ordering[o]}\n")
             out.write("  candidates: " + ", ".join(format_ordering(c) for c in r.candidates) + "\n")
             out.write(f"  chosen: {format_ordering(r.chosen)}\n")
@@ -123,9 +132,8 @@ def _cmd_roots(args, out) -> int:
     for p in system.polynomials:
         vs = p.variables()
         if len(vs) > 1:
-            raise ParseError(
-                f"polynomial is not univariate: {render(p)}", 1, 1
-            )
+            reason = f"{args.file}: polynomial is not univariate: {render(p)}"
+            raise ParseError(reason, *_source_position(args.file, p))
         v = next(iter(vs)) if vs else system.variables[0] if system.variables else None
         if v is None:
             counts.append(0)

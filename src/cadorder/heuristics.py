@@ -113,7 +113,7 @@ def lex_tiebreak(candidates: Iterable[VariableOrdering]) -> VariableOrdering:
     candidates = list(candidates)
     if not candidates:
         raise ValueError("no candidate orderings")
-    return min(candidates, key=lambda t: tuple(v.name for v in t))
+    return min(candidates)
 
 
 def choose(system: PolySystem, heuristic: str) -> HeuristicReport:

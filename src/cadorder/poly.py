@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -86,9 +86,6 @@ class Monomial:
                 return e
         return 0
 
-    def variables(self) -> frozenset[Variable]:
-        return frozenset(v for v, _ in self.exps)
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         a, b = self.exps, other.exps
         if not a:
@@ -121,19 +118,18 @@ class Monomial:
             r = d.get(v, 0) - e
             if r < 0:
                 return None
-            if r == 0:
-                d.pop(v, None)
-            else:
-                d[v] = r
+            d[v] = r
         return Monomial(d)
 
     def without(self, v: Variable) -> "Monomial":
-        return Monomial([(w, e) for w, e in self.exps if w != v])
+        return Monomial._make(tuple((w, e) for w, e in self.exps if w != v))
 
-    def grlex_key(self, var_order: tuple[Variable, ...]) -> tuple:
-        """Sort key for graded lexicographic order over ``var_order``."""
-        d = dict(self.exps)
-        return (self.total_degree, tuple(d.get(v, 0) for v in var_order))
+    def order_key(self) -> tuple:
+        """Ascending sort key for descending graded-lex order, variables ranked
+        by name.  Needs no variable list: an absent variable is a zero
+        exponent, and at equal total degree no pair tuple is a strict prefix
+        of another."""
+        return (-self.total_degree, tuple((v.name, -e) for v, e in self.exps))
 
 
 _ONE_MONOMIAL = Monomial(())
@@ -238,10 +234,7 @@ class Polynomial:
     # -- structure ---------------------------------------------------------
 
     def variables(self) -> frozenset[Variable]:
-        out: set[Variable] = set()
-        for m in self._terms:
-            out.update(m.variables())
-        return frozenset(out)
+        return frozenset(v for m in self._terms for v, _ in m.exps)
 
     def degree_in(self, v: Variable) -> int:
         """Maximum exponent of ``v`` over all terms; 0 for the zero polynomial."""
@@ -269,20 +262,11 @@ class Polynomial:
             out[dm] = out.get(dm, 0) + c * e
         return Polynomial(out)
 
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        """Terms in descending graded-lex order over this polynomial's variables."""
-        var_order = tuple(sorted(self.variables()))
-        return sorted(
-            self._terms.items(),
-            key=lambda it: it[0].grlex_key(var_order),
-            reverse=True,
-        )
-
     def leading_coefficient(self) -> int:
         """Coefficient of the graded-lex-leading term; 0 for the zero polynomial."""
         if not self._terms:
             return 0
-        return self.sorted_terms()[0][1]
+        return self._terms[min(self._terms, key=Monomial.order_key)]
 
     def content(self) -> int:
         """Gcd of the absolute coefficient values; 0 for the zero polynomial."""
@@ -294,7 +278,7 @@ class Polynomial:
         if not self._terms:
             return "0"
         chunks: list[str] = []
-        for m, c in self.sorted_terms():
+        for m, c in sorted(self._terms.items(), key=lambda t: t[0].order_key()):
             factors = [f"{v}^{e}" if e > 1 else str(v) for v, e in m.exps]
             mag = abs(c)
             if not factors:
@@ -324,24 +308,24 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
     """Exact polynomial quotient p / d; raises when the division is inexact."""
     if d.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    if p.is_zero():
-        return Polynomial.zero()
-    var_order = tuple(sorted(p.variables() | d.variables()))
-    lm_d, lc_d = max(
-        d.terms.items(), key=lambda it: it[0].grlex_key(var_order)
-    )
+    lm_d = min(d.terms, key=Monomial.order_key)
+    lc_d = d.terms[lm_d]
     quotient: dict[Monomial, int] = {}
-    r = p
-    while not r.is_zero():
-        lm_r, lc_r = max(
-            r.terms.items(), key=lambda it: it[0].grlex_key(var_order)
-        )
+    r = dict(p.terms)
+    while r:
+        lm_r = min(r, key=Monomial.order_key)
         qm = lm_r.divide_by(lm_d)
-        if qm is None or lc_r % lc_d != 0:
+        if qm is None or r[lm_r] % lc_d != 0:
             raise ArithmeticError("inexact polynomial division")
-        qc = lc_r // lc_d
-        quotient[qm] = quotient.get(qm, 0) + qc
-        r = r - Polynomial({qm: qc}) * d
+        qc = r[lm_r] // lc_d
+        quotient[qm] = qc  # a new monomial: leading monomials strictly fall
+        for m, c in d.terms.items():  # r -= qc*qm*d, in place
+            t = qm * m
+            rc = r.get(t, 0) - qc * c
+            if rc:
+                r[t] = rc
+            else:
+                del r[t]
     return Polynomial(quotient)
 
 
@@ -469,6 +453,3 @@ class PolySystem:
                 names = ", ".join(sorted(v.name for v in missing))
                 raise ValueError(f"undeclared variables in system: {names}")
         return PolySystem(vs, tuple(polys))
-
-    def __iter__(self) -> Iterator[Polynomial]:
-        return iter(self.polynomials)

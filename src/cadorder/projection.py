@@ -38,21 +38,11 @@ class ProjectionSet:
     ordering: VariableOrdering
     levels: tuple[tuple[Polynomial, ...], ...]
 
-    def level(self, k: int) -> tuple[Polynomial, ...]:
-        """Level by its 1-based index k in n..1."""
-        return self.levels[len(self.levels) - k]
-
 
 def reduce_level(polys: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
     """Canonicalize, drop constants and zeros, deduplicate, sort deterministically."""
-    out: list[Polynomial] = []
-    for p in polys:
-        p = canonicalize(p)
-        if p.is_zero() or p.is_constant():
-            continue
-        if p not in out:
-            out.append(p)
-    return tuple(sorted(out, key=str))
+    canonical = dict.fromkeys(canonicalize(p) for p in polys)  # deduplicated, in order
+    return tuple(sorted((p for p in canonical if not p.is_constant()), key=str))
 
 
 def project_once(level: Iterable[Polynomial], v: Variable) -> tuple[Polynomial, ...]:

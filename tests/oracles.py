@@ -1,12 +1,26 @@
 """Independent oracles, kept deliberately separate from the library's own
 algorithms: the resultant is recomputed here as an explicit Sylvester-matrix
-determinant by division-free minor expansion."""
+determinant by division-free minor expansion, and the graded-lex monomial
+order as a comparison of dense exponent vectors."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from cadorder import Polynomial, Variable
+from cadorder import Monomial, Polynomial, Variable
+
+
+def grlex_key(m: Monomial, var_order: tuple[Variable, ...]) -> tuple:
+    """Graded-lex key over ``var_order``: the total degree, then the dense
+    exponent vector (absent variables count as exponent 0)."""
+    d = dict(m.exps)
+    return (sum(d.values()), tuple(d.get(v, 0) for v in var_order))
+
+
+def grlex_terms(p: Polynomial) -> list[tuple[Monomial, int]]:
+    """Terms of p in descending graded-lex order over its name-sorted variables."""
+    var_order = tuple(sorted({v for m in p.terms for v, _ in m.exps}))
+    return sorted(p.terms.items(), key=lambda it: grlex_key(it[0], var_order), reverse=True)
 
 
 def sylvester_matrix(p: Polynomial, q: Polynomial, v: Variable) -> list[list[Polynomial]]:

@@ -104,6 +104,13 @@ class TestRoots:
         code, _, err = invoke(["roots", bivariate_file])
         assert code == 2 and "not univariate" in err
 
+    def test_multivariate_error_names_file_and_line(self, tmp_path):
+        path = tmp_path / "mixed.poly"
+        path.write_text("x^2 - 2\n# a comment\nx*y + 1\n")
+        code, out, err = invoke(["roots", str(path)])
+        assert code == 2 and out == ""
+        assert err == f"cadorder: parse error: line 3, column 1: {path}: polynomial is not univariate: x*y + 1\n"
+
 
 class TestBench:
     ARGS = [

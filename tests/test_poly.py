@@ -1,10 +1,12 @@
 import random
+import re
 
 import pytest
 
-from cadorder import Polynomial, Variable, canonicalize, discriminant, resultant
+from cadorder import Polynomial, Variable, canonicalize, discriminant, parse_system, render, resultant
+from cadorder.poly import exact_div
 from conftest import random_polynomial
-from oracles import sylvester_resultant
+from oracles import grlex_terms, sylvester_resultant
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 X, Y, Z = Polynomial.variable(x), Polynomial.variable(y), Polynomial.variable(z)
@@ -55,6 +57,48 @@ class TestRingLaws:
             lhs = (p * q).derivative(x)
             rhs = p.derivative(x) * q + p * q.derivative(x)
             assert lhs == rhs
+
+
+class TestTermOrder:
+    def test_render_order_matches_dense_grlex(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            p = random_polynomial(rng, [x, y, z], max_degree=4, max_terms=6)
+            chunks = re.split(r" [+-] ", render(p).lstrip("-"))
+            rendered = [next(iter(parse_system(c).polynomials[0].terms)) for c in chunks]
+            assert rendered == [m for m, _ in grlex_terms(p)]
+
+    def test_leading_coefficient_matches_dense_grlex(self):
+        rng = random.Random(9)
+        for _ in range(300):
+            p = random_polynomial(rng, [x, y, z], max_degree=4, max_terms=6)
+            assert p.leading_coefficient() == grlex_terms(p)[0][1]
+
+
+class TestExactDiv:
+    def test_recovers_factor(self):
+        rng = random.Random(10)
+        for _ in range(200):
+            p = random_polynomial(rng, [x, y, z], max_degree=3, max_terms=5)
+            d = random_polynomial(rng, rng.choice([[x, y, z], [x, z], [y]]), max_degree=3)
+            assert exact_div(p * d, d) == p
+
+    def test_divisor_lacking_variables(self):
+        assert exact_div((X * Y + Z) * (X**2 - 3), X**2 - 3) == X * Y + Z
+        assert exact_div(6 * X * Y - 4 * Z, Polynomial.constant(2)) == 3 * X * Y - 2 * Z
+        assert exact_div(Polynomial.zero(), X + 1) == Polynomial.zero()
+
+    def test_inexact_raises(self):
+        with pytest.raises(ArithmeticError, match="inexact"):
+            exact_div(X**2 + 1, X + 1)
+        with pytest.raises(ArithmeticError, match="inexact"):
+            exact_div(3 * X, 2 * X)
+        with pytest.raises(ArithmeticError, match="inexact"):
+            exact_div(Y, X)
+
+    def test_zero_divisor_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            exact_div(X + 1, Polynomial.zero())
 
 
 class TestResultant:
