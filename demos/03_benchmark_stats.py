@@ -17,8 +17,8 @@ picks = {h: {} for h in ("brown", "sotd", "ndrr")}
 for path in sorted((fixtures / "problems").glob("*.poly")):
     system = parse_system(path.read_text())
     for heuristic in picks:
-        chosen = choose(system, heuristic).chosen
-        picks[heuristic][path.stem] = tuple(v.name for v in chosen)
+        # a Variable is its name, so the chosen tuple joins the table as it is
+        picks[heuristic][path.stem] = choose(system, heuristic).chosen
 
 table = load_cell_table((fixtures / "bench_cells.csv").read_bytes())
 report = compute_report(table, picks)

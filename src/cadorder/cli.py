@@ -57,10 +57,6 @@ def _source_position(path: str, p: Polynomial) -> tuple[int, int]:
     return 1, 1
 
 
-def _ordering_names(ordering) -> tuple[str, ...]:
-    return tuple(v.name for v in ordering)
-
-
 def _cmd_analyze(args, out) -> int:
     system = _read_system(args.file)
     names = HEURISTICS if args.heuristic == "all" else (args.heuristic,)
@@ -155,7 +151,7 @@ def _cmd_bench(args, out) -> int:
     for path in poly_files:
         system = _read_system(str(path))
         for h in HEURISTICS:
-            picks[h][path.stem] = _ordering_names(choose(system, h).chosen)
+            picks[h][path.stem] = choose(system, h).chosen
     try:
         csv_bytes = Path(args.cells).read_bytes()
     except OSError as exc:

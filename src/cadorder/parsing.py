@@ -2,16 +2,20 @@
 
 Format: an optional first significant line ``vars: v1, v2, ...``, then one
 polynomial per line in infix notation with ``+ - * ^``, parentheses,
-non-negative integer literals and identifiers.  ``#`` starts a comment,
-blank lines are ignored, and juxtaposition is not multiplication (an explicit
-``*`` is required).  ``^`` takes a non-negative integer literal exponent.
+non-negative integer literals and identifiers, both ASCII only.  ``#`` starts
+a comment, blank lines are ignored, and juxtaposition is not multiplication
+(an explicit ``*`` is required).  ``^`` takes a non-negative integer literal
+exponent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from string import ascii_letters, digits
 
 from .poly import Polynomial, PolySystem, Variable
+
+_NAME_CHARS = ascii_letters + digits + "_"  # ASCII only, as Variable requires
 
 
 class ParseError(ValueError):
@@ -41,15 +45,15 @@ def _tokenize(line: str, lineno: int) -> list[_Token]:
             i += 1
             continue
         col = i + 1
-        if ch.isdigit():
+        if ch in digits:
             j = i
-            while j < n and line[j].isdigit():
+            while j < n and line[j] in digits:
                 j += 1
             tokens.append(_Token("INT", line[i:j], col))
             i = j
-        elif ch.isalpha() or ch == "_":
+        elif ch in _NAME_CHARS:
             j = i
-            while j < n and (line[j].isalnum() or line[j] == "_"):
+            while j < n and line[j] in _NAME_CHARS:
                 j += 1
             tokens.append(_Token("NAME", line[i:j], col))
             i = j
@@ -65,7 +69,7 @@ def _tokenize(line: str, lineno: int) -> list[_Token]:
 class _LineParser:
     """Recursive-descent parser for a single polynomial line."""
 
-    def __init__(self, line: str, lineno: int, declared: set[str] | None):
+    def __init__(self, line: str, lineno: int, declared: list[Variable] | None):
         self.tokens = _tokenize(line, lineno)
         self.pos = 0
         self.lineno = lineno
@@ -157,7 +161,6 @@ def parse_system(text: str) -> PolySystem:
     are collapsed.
     """
     declared: list[Variable] | None = None
-    declared_names: set[str] | None = None
     polys: list[Polynomial] = []
     seen_significant = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -180,10 +183,9 @@ def parse_system(text: str) -> PolySystem:
                 if v in declared:
                     raise ParseError(f"duplicate variable {name!r}", lineno, col0)
                 declared.append(v)
-            declared_names = {v.name for v in declared}
             continue
         seen_significant = True
-        p = _LineParser(line, lineno, declared_names).parse()
+        p = _LineParser(line, lineno, declared).parse()
         if p.is_zero():
             first = len(line) - len(line.lstrip()) + 1
             raise ParseError("polynomial simplifies to zero", lineno, first)

@@ -19,33 +19,36 @@ from typing import Iterable, Mapping
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True, order=True)
-class Variable:
-    """A named variable; compared and ordered byte-wise by name."""
+class Variable(str):
+    """A named variable: a str that is a valid identifier, so it compares,
+    hashes and orders as its name."""
 
-    name: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not _NAME_RE.match(self.name):
-            raise ValueError(f"invalid variable name: {self.name!r}")
+    def __new__(cls, name: str) -> "Variable":
+        if not _NAME_RE.match(name):
+            raise ValueError(f"invalid variable name: {name!r}")
+        return super().__new__(cls, name)
 
-    def __hash__(self) -> int:
-        return hash(self.name)  # str objects cache their hash
+    @property
+    def name(self) -> str:
+        return str(self)
 
-    def __str__(self) -> str:
-        return self.name
+    def __repr__(self) -> str:
+        return f"Variable(name={self.name!r})"
 
 
-class Monomial:
+class Monomial(tuple):
     """A product of variables with positive integer exponents.
 
-    Exponents are stored as (variable, exponent) pairs sorted by variable
-    name; variables with exponent zero are never stored.
+    The tuple of (variable, exponent) pairs sorted by variable name, so it
+    compares and hashes as that tuple; variables with exponent zero are never
+    stored.
     """
 
-    __slots__ = ("exps", "_hash")
+    __slots__ = ()
 
-    def __init__(self, exps: Mapping[Variable, int] | Iterable[tuple[Variable, int]]):
+    def __new__(cls, exps: Mapping[Variable, int] | Iterable[tuple[Variable, int]]) -> "Monomial":
         items = exps.items() if isinstance(exps, dict) else exps
         cleaned = []
         for v, e in items:
@@ -54,67 +57,55 @@ class Monomial:
             if e > 0:
                 cleaned.append((v, e))
         cleaned.sort(key=lambda it: it[0])
-        self.exps: tuple[tuple[Variable, int], ...] = tuple(cleaned)
-        self._hash = hash(self.exps)
+        return super().__new__(cls, cleaned)
 
-    @classmethod
-    def _make(cls, exps: tuple[tuple[Variable, int], ...]) -> "Monomial":
-        """Fast constructor; exps must already be sorted, positive, unique."""
-        m = object.__new__(cls)
-        m.exps = exps
-        m._hash = hash(exps)
-        return m
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self) -> int:
-        return self._hash
+    @property
+    def exps(self) -> tuple[tuple[Variable, int], ...]:
+        return tuple(self)
 
     def __repr__(self) -> str:
-        if not self.exps:
+        if not self:
             return "Monomial(1)"
-        return "Monomial(" + "*".join(f"{v}^{e}" for v, e in self.exps) + ")"
+        return "Monomial(" + "*".join(f"{v}^{e}" for v, e in self) + ")"
 
     @property
     def total_degree(self) -> int:
-        return sum(e for _, e in self.exps)
+        return sum(e for _, e in self)
 
     def degree_in(self, v: Variable) -> int:
-        for w, e in self.exps:
+        for w, e in self:
             if w == v:
                 return e
         return 0
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        a, b = self.exps, other.exps
-        if not a:
+        if not self:
             return other
-        if not b:
+        if not other:
             return self
         out = []
         i = j = 0
-        while i < len(a) and j < len(b):
-            va, ea = a[i]
-            vb, eb = b[j]
-            if va.name == vb.name:
+        while i < len(self) and j < len(other):
+            va, ea = self[i]
+            vb, eb = other[j]
+            if va == vb:
                 out.append((va, ea + eb))
                 i += 1
                 j += 1
-            elif va.name < vb.name:
-                out.append(a[i])
+            elif va < vb:
+                out.append(self[i])
                 i += 1
             else:
-                out.append(b[j])
+                out.append(other[j])
                 j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return Monomial._make(tuple(out))
+        out.extend(self[i:])
+        out.extend(other[j:])
+        return tuple.__new__(Monomial, out)  # already sorted, positive, unique
 
     def divide_by(self, other: "Monomial") -> "Monomial | None":
         """Exact monomial quotient, or None when not divisible."""
-        d = dict(self.exps)
-        for v, e in other.exps:
+        d = dict(self)
+        for v, e in other:
             r = d.get(v, 0) - e
             if r < 0:
                 return None
@@ -122,14 +113,14 @@ class Monomial:
         return Monomial(d)
 
     def without(self, v: Variable) -> "Monomial":
-        return Monomial._make(tuple((w, e) for w, e in self.exps if w != v))
+        return tuple.__new__(Monomial, [(w, e) for w, e in self if w != v])
 
     def order_key(self) -> tuple:
         """Ascending sort key for descending graded-lex order, variables ranked
         by name.  Needs no variable list: an absent variable is a zero
         exponent, and at equal total degree no pair tuple is a strict prefix
         of another."""
-        return (-self.total_degree, tuple((v.name, -e) for v, e in self.exps))
+        return (-self.total_degree, tuple((v, -e) for v, e in self))
 
 
 _ONE_MONOMIAL = Monomial(())
@@ -234,7 +225,7 @@ class Polynomial:
     # -- structure ---------------------------------------------------------
 
     def variables(self) -> frozenset[Variable]:
-        return frozenset(v for m in self._terms for v, _ in m.exps)
+        return frozenset(v for m in self._terms for v, _ in m)
 
     def degree_in(self, v: Variable) -> int:
         """Maximum exponent of ``v`` over all terms; 0 for the zero polynomial."""
@@ -258,7 +249,7 @@ class Polynomial:
             e = m.degree_in(v)
             if e == 0:
                 continue
-            dm = Monomial([(w, k - 1 if w == v else k) for w, k in m.exps])
+            dm = Monomial([(w, k - 1 if w == v else k) for w, k in m])
             out[dm] = out.get(dm, 0) + c * e
         return Polynomial(out)
 
@@ -279,7 +270,7 @@ class Polynomial:
             return "0"
         chunks: list[str] = []
         for m, c in sorted(self._terms.items(), key=lambda t: t[0].order_key()):
-            factors = [f"{v}^{e}" if e > 1 else str(v) for v, e in m.exps]
+            factors = [f"{v}^{e}" if e > 1 else str(v) for v, e in m]
             mag = abs(c)
             if not factors:
                 body = str(mag)
@@ -450,6 +441,6 @@ class PolySystem:
             vs = tuple(sorted(set(variables)))
             missing = occurring - set(vs)
             if missing:
-                names = ", ".join(sorted(v.name for v in missing))
+                names = ", ".join(sorted(missing))
                 raise ValueError(f"undeclared variables in system: {names}")
         return PolySystem(vs, tuple(polys))

@@ -18,7 +18,7 @@ VariableOrdering = tuple[Variable, ...]
 
 
 def format_ordering(ordering: Sequence[Variable]) -> str:
-    return ">".join(v.name for v in ordering)
+    return ">".join(ordering)
 
 
 def parse_ordering(text: str) -> VariableOrdering:
@@ -74,7 +74,7 @@ def full_projection(system: PolySystem, ordering: Sequence[Variable]) -> Project
     if sorted(ordering) != list(system.variables):
         raise ValueError(
             f"ordering {format_ordering(ordering)} is not a permutation of the "
-            f"system variables {{{', '.join(v.name for v in system.variables)}}}"
+            f"system variables {{{', '.join(system.variables)}}}"
         )
     levels = [reduce_level(system.polynomials)]
     for k in range(len(ordering), 1, -1):

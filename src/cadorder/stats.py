@@ -7,8 +7,9 @@ saving of each pick relative to the per-problem average over all orderings
 (on problems where nothing timed out), and how often a pick avoids a timeout
 (on problems where some ordering timed out).
 
-Orderings are handled as tuples of variable-name strings here; the CSV wire
-format joins them with '>' in reverse-projection order (``x>y>z``).
+Orderings are handled as tuples of variable names here (a ``Variable`` is its
+name, so a chosen ordering joins as it is); the CSV wire format joins them
+with '>' in reverse-projection order (``x>y>z``).
 """
 
 from __future__ import annotations
@@ -92,8 +93,10 @@ def load_cell_table(data: bytes | str) -> CellCountTable:
             raise CellTableError(f"line {lineno}: expected 4 fields")
         problem, ordering_text, cells_text, timeout_text = record
         ordering = tuple(ordering_text.split(">"))
-        if not problem or any(not name for name in ordering):
+        if not problem or "" in ordering:
             raise CellTableError(f"line {lineno}: empty problem or ordering field")
+        if len(set(ordering)) != len(ordering):
+            raise CellTableError(f"line {lineno}: repeated variable in ordering {ordering_text!r}")
         if timeout_text not in ("0", "1"):
             raise CellTableError(f"line {lineno}: timeout must be 0 or 1")
         timeout = timeout_text == "1"
@@ -104,7 +107,7 @@ def load_cell_table(data: bytes | str) -> CellCountTable:
                 )
             cells = None
         else:
-            if not cells_text.isdigit() or int(cells_text) <= 0:
+            if not (cells_text.isascii() and cells_text.isdigit()) or int(cells_text) <= 0:
                 raise CellTableError(
                     f"line {lineno}: cells must be a positive integer"
                 )

@@ -59,7 +59,7 @@ def to_univariate(p: Polynomial, v: Variable) -> UnivariatePolynomial:
     """View a multivariate polynomial involving at most ``v`` as univariate."""
     extra = p.variables() - {v}
     if extra:
-        names = ", ".join(sorted(w.name for w in extra))
+        names = ", ".join(sorted(extra))
         raise ValueError(f"polynomial is not univariate in {v}: also uses {names}")
     coeffs = [Fraction(0)] * (p.degree_in(v) + 1)
     for m, c in p.terms.items():

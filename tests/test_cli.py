@@ -62,6 +62,13 @@ class TestAnalyze:
         assert code == 2
         assert "parse error" in err and out == ""
 
+    def test_non_ascii_digit_exit_2(self, tmp_path):
+        bad = tmp_path / "bad.poly"
+        bad.write_text("x^\u0663 - 1\n", encoding="utf-8")
+        code, out, err = invoke(["analyze", str(bad)])
+        assert code == 2 and out == ""
+        assert err == f"cadorder: parse error: line 1, column 3: {bad}: unexpected character '\u0663'\n"
+
     def test_usage_error_exit_1(self, bivariate_file):
         code, _, err = invoke(["analyze", bivariate_file, "--heuristic", "nope"])
         assert code == 1 and "usage error" in err
@@ -143,6 +150,21 @@ class TestBench:
         bad.write_text("problem,ordering,cells,timeout\np1,x>y,5,0\n")
         code, _, err = invoke(self.ARGS[:-1] + [str(bad)])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("p1,x>x,5,0", "repeated variable in ordering 'x>x'"),
+            ("p1,x,\u00b2,0", "cells must be a positive integer"),
+        ],
+        ids=["repeated-variable", "superscript-two-cells"],
+    )
+    def test_bad_row_names_line_exit_3(self, tmp_path, row, reason):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"problem,ordering,cells,timeout\n{row}\n", encoding="utf-8")
+        code, out, err = invoke(self.ARGS[:-1] + [str(bad)])
+        assert code == 3 and out == ""
+        assert err == f"cadorder: cell table error: line 2: {reason}\n"
 
     def problems_with(self, tmp_path, name):
         problems = tmp_path / "problems"

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -65,6 +66,17 @@ class TestParseSystem:
             parse_system("x + 1\nx + + *")
         assert info.value.line == 2
         assert info.value.col == 5
+
+    @pytest.mark.parametrize(
+        "text, col",
+        [("x + \u00b2", 5), ("\u00e9 + 1", 1), ("x^\u0663 - 1", 3)],
+        ids=["superscript-two", "e-acute", "arabic-indic-three"],
+    )
+    def test_non_ascii_character_rejected(self, text, col):
+        # str.isdigit, isalpha and isalnum accept these; the grammar does not
+        with pytest.raises(ParseError, match=re.escape(f"unexpected character {text[col - 1]!r}")) as info:
+            parse_system("x + 1\n" + text)
+        assert (info.value.line, info.value.col) == (2, col)
 
     def test_unary_minus_and_parentheses(self):
         system = parse_system("-(x - 2)*(x + 3)")

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from cadorder import Polynomial, Variable, canonicalize, discriminant, parse_system, render, resultant
+from cadorder import Monomial, Polynomial, Variable, canonicalize, discriminant, parse_system, render, resultant
 from cadorder.poly import exact_div
 from conftest import random_polynomial
 from oracles import grlex_terms, sylvester_resultant
@@ -36,6 +36,28 @@ class TestBasics:
     def test_equality_ignores_construction_order(self):
         assert X + Y == Y + X
         assert hash(X * Y + 1) == hash(1 + Y * X)
+
+
+class TestValueSemantics:
+    def test_variable_is_its_name(self):
+        assert Variable("x") == "x" and hash(Variable("x")) == hash("x")
+        assert x.name == "x" and repr(x) == "Variable(name='x')"
+        for bad in ("", "2x", "x-y", "\u00e9"):
+            with pytest.raises(ValueError, match="invalid variable name"):
+                Variable(bad)
+
+    def test_monomial_is_its_pair_tuple(self):
+        pairs = ((x, 2), (y, 1))
+        built = [
+            Monomial({y: 1, x: 2}),
+            Monomial([(z, 0), (y, 1), (x, 2)]),
+            Monomial([(x, 2)]) * Monomial([(y, 1)]),
+        ]
+        for m in built:
+            assert m == pairs and hash(m) == hash(pairs)
+            assert m.exps == pairs
+        with pytest.raises(ValueError, match="negative exponent"):
+            Monomial({x: -1})
 
 
 class TestRingLaws:

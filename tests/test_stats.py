@@ -9,6 +9,7 @@ import pytest
 
 from cadorder import (
     CellTableError,
+    Variable,
     best_pick_counts,
     compute_report,
     emit_report,
@@ -98,6 +99,22 @@ class TestLoad:
         with pytest.raises(CellTableError, match="positive integer"):
             small_table([("p1", "x", 0, 0)])
 
+    @pytest.mark.parametrize("problem, ordering", [("p1", "x>"), ("p1", ">x"), ("", "x"), ("p1", "")])
+    def test_empty_problem_or_ordering_name(self, problem, ordering):
+        with pytest.raises(CellTableError, match="line 2: empty problem or ordering field"):
+            small_table([(problem, ordering, 5, 0)])
+
+    def test_repeated_variable_in_ordering(self):
+        # the permutations of [x, x] are just {(x, x)}, so this row alone
+        # would pass the completeness check
+        with pytest.raises(CellTableError, match="line 2: repeated variable in ordering 'x>x'"):
+            small_table([("p1", "x>x", 5, 0)])
+
+    @pytest.mark.parametrize("cells", ["\u00b2", "\u0663"], ids=["superscript-two", "arabic-indic-three"])
+    def test_non_ascii_digit_cells(self, cells):
+        with pytest.raises(CellTableError, match="line 3: cells must be a positive integer"):
+            small_table([("p1", "x>y", 5, 0), ("p1", "y>x", cells, 0)])
+
 
 class TestBestPick:
     def pick_table(self):
@@ -179,6 +196,13 @@ class TestSavings:
 
 
 class TestComputeReport:
+    def test_picks_as_variable_tuples(self):
+        names = {h: {"p1": ("x", "z", "y")} for h in ("brown", "sotd", "ndrr")}
+        variables = {h: {"p1": (Variable("x"), Variable("z"), Variable("y"))} for h in names}
+        report = compute_report(SIX, variables)
+        assert report == compute_report(SIX, names)
+        assert report.per_heuristic["sotd"].savings.mean_pct == Fraction(15 * 100, 35)
+
     def test_pick_for_absent_problem(self):
         picks = {h: {"p2": ("x", "y", "z")} for h in ("brown", "sotd", "ndrr")}
         with pytest.raises(CellTableError, match="no cell-count row"):
