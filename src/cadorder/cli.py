@@ -150,8 +150,11 @@ def _cmd_bench(args, out) -> int:
     picks: dict[str, dict[str, tuple[str, ...]]] = {h: {} for h in HEURISTICS}
     for path in poly_files:
         system = _read_system(str(path))
-        for h in HEURISTICS:
-            picks[h][path.stem] = choose(system, h).chosen
+        try:
+            for h in HEURISTICS:
+                picks[h][path.stem] = choose(system, h).chosen
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     try:
         csv_bytes = Path(args.cells).read_bytes()
     except OSError as exc:

@@ -122,6 +122,8 @@ def choose(system: PolySystem, heuristic: str) -> HeuristicReport:
         raise ValueError(f"unknown heuristic {heuristic!r}")
     if not system.polynomials:
         raise ValueError("empty system")
+    if not system.variables:
+        raise ValueError("no variables to order")
     if heuristic == "brown":
         candidates = tuple(brown_candidates(system))
         return HeuristicReport("brown", None, candidates, lex_tiebreak(candidates))

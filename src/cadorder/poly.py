@@ -323,14 +323,18 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
 # -- resultants ------------------------------------------------------------
 
 
-def _trim(coeffs: list[Polynomial]) -> list[Polynomial]:
-    while coeffs and coeffs[-1].is_zero():
+def _trim(coeffs: list) -> list:
+    """Drop zero leading coefficients: int, Fraction or Polynomial ones."""
+    while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
 
 
-def _prem(a: list[Polynomial], b: list[Polynomial]) -> list[Polynomial]:
-    """Pseudo-remainder of dense coefficient lists: lc(b)^(da-db+1) * a mod b."""
+def _prem(a: list, b: list) -> list:
+    """Pseudo-remainder of dense coefficient lists: lc(b)^(da-db+1) * a mod b.
+
+    Coefficients may be Polynomials (resultants), ints or Fractions (the
+    univariate gcd and Sturm chains)."""
     da, db = len(a) - 1, len(b) - 1
     lc = b[-1]
     r = list(a)
@@ -426,12 +430,9 @@ class PolySystem:
         polynomials: Iterable[Polynomial],
         variables: Iterable[Variable] | None = None,
     ) -> "PolySystem":
-        polys: list[Polynomial] = []
-        for p in polynomials:
-            if p.is_zero():
-                raise ValueError("zero polynomial in system")
-            if p not in polys:
-                polys.append(p)
+        polys = tuple(dict.fromkeys(polynomials))
+        if any(p.is_zero() for p in polys):
+            raise ValueError("zero polynomial in system")
         occurring: set[Variable] = set()
         for p in polys:
             occurring.update(p.variables())
@@ -443,4 +444,4 @@ class PolySystem:
             if missing:
                 names = ", ".join(sorted(missing))
                 raise ValueError(f"undeclared variables in system: {names}")
-        return PolySystem(vs, tuple(polys))
+        return PolySystem(vs, polys)

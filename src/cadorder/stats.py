@@ -275,6 +275,20 @@ def compute_report(table: CellCountTable, picks: Mapping[str, Picks]) -> BenchRe
     return BenchReport(per, len(problems), n_no_timeout, n_some_timeout)
 
 
+# The seven figures per heuristic: JSON keys, CSV columns and text rows.
+_FIGURES = (
+    "best_pick_count", "best_pick_pct", "mean_saving_pct", "median_saving_pct",
+    "q1_pct", "q3_pct", "timeout_avoidance_count",
+)
+
+
+def _figures(st: HeuristicStats) -> tuple:
+    """Values of _FIGURES: ints for counts, Fractions (None without savings)."""
+    s = st.savings
+    saving = (s.mean_pct, s.median_pct, s.q1_pct, s.q3_pct) if s else (None,) * 4
+    return (st.best_pick_count, st.best_pick_pct, *saving, st.timeout_avoidance_count)
+
+
 def _pct(x: Fraction | None) -> str:
     return "n/a" if x is None else f"{float(x):.2f}%"
 
@@ -282,56 +296,38 @@ def _pct(x: Fraction | None) -> str:
 def emit_report(report: BenchReport, format: str = "text") -> bytes:
     """Serialize a report as aligned text, JSON, or one CSV row per heuristic."""
     heuristics = _heuristic_order(report.per_heuristic)
+    values = {h: _figures(report.per_heuristic[h]) for h in heuristics}
     if format == "text":
         lines = [
             f"problems: {report.n_problems} "
             f"(no timeout: {report.n_no_timeout}, "
             f"some timeout: {report.n_some_timeout})",
-            "",
         ]
-        width = max(len(h) for h in heuristics) + 2
-        header = " " * 24 + "".join(f"{h:>{max(width, 10)}}" for h in heuristics)
-
-        def table_row(label: str, cells: list[str]) -> str:
-            return f"{label:<24}" + "".join(f"{c:>{max(width, 10)}}" for c in cells)
-
-        lines.append("best pick")
-        lines.append(header)
-        lines.append(table_row("  count", [str(report.per_heuristic[h].best_pick_count) for h in heuristics]))
-        lines.append(table_row("  percent", [_pct(report.per_heuristic[h].best_pick_pct) for h in heuristics]))
-        lines.append("")
-        lines.append(f"cell count saving vs average (over {report.n_no_timeout} timeout-free problems)")
-        lines.append(header)
-        for label, field in (
-            ("  mean", "mean_pct"),
-            ("  median", "median_pct"),
-            ("  q1", "q1_pct"),
-            ("  q3", "q3_pct"),
+        width = max(max(len(h) for h in heuristics) + 2, 10)
+        header = " " * 24 + "".join(f"{h:>{width}}" for h in heuristics)
+        for title, first, labels in (
+            ("best pick", 0, ("count", "percent")),
+            (f"cell count saving vs average (over {report.n_no_timeout} timeout-free problems)",
+             2, ("mean", "median", "q1", "q3")),
+            (f"timeout avoidance (over {report.n_some_timeout} problems with a timeout)",
+             6, ("count",)),
         ):
-            cells = []
-            for h in heuristics:
-                s = report.per_heuristic[h].savings
-                cells.append(_pct(getattr(s, field)) if s else "n/a")
-            lines.append(table_row(label, cells))
-        lines.append("")
-        lines.append(f"timeout avoidance (over {report.n_some_timeout} problems with a timeout)")
-        lines.append(header)
-        lines.append(table_row("  count", [str(report.per_heuristic[h].timeout_avoidance_count) for h in heuristics]))
+            lines += ["", title, header]
+            for i, label in enumerate(labels, first):
+                cells = (values[h][i] for h in heuristics)
+                lines.append(f"  {label:<22}" + "".join(
+                    f"{str(v) if isinstance(v, int) else _pct(v):>{width}}" for v in cells
+                ))
         return ("\n".join(lines) + "\n").encode("utf-8")
 
     if format == "json":
         payload = {
             "per_heuristic": {
                 h: {
-                    "best_pick_count": st.best_pick_count,
-                    "best_pick_pct": float(st.best_pick_pct),
-                    "mean_saving_pct": float(st.savings.mean_pct) if st.savings else None,
-                    "median_saving_pct": float(st.savings.median_pct) if st.savings else None,
-                    "q1_pct": float(st.savings.q1_pct) if st.savings else None,
-                    "q3_pct": float(st.savings.q3_pct) if st.savings else None,
-                    "timeout_avoidance_count": st.timeout_avoidance_count,
+                    name: v if v is None or isinstance(v, int) else float(v)
+                    for name, v in zip(_FIGURES, values[h])
                 }
-                for h, st in report.per_heuristic.items()
+                for h in heuristics
             },
             "totals": {
                 "n_problems": report.n_problems,
@@ -344,24 +340,12 @@ def emit_report(report: BenchReport, format: str = "text") -> bytes:
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([
-            "heuristic", "best_pick_count", "best_pick_pct",
-            "mean_saving_pct", "median_saving_pct", "q1_pct", "q3_pct",
-            "timeout_avoidance_count",
-        ])
+        writer.writerow(["heuristic", *_FIGURES])
         for h in heuristics:
-            st = report.per_heuristic[h]
-            s = st.savings
-            writer.writerow([
-                h,
-                st.best_pick_count,
-                f"{float(st.best_pick_pct):.6f}",
-                f"{float(s.mean_pct):.6f}" if s else "",
-                f"{float(s.median_pct):.6f}" if s else "",
-                f"{float(s.q1_pct):.6f}" if s else "",
-                f"{float(s.q3_pct):.6f}" if s else "",
-                st.timeout_avoidance_count,
-            ])
+            writer.writerow([h, *(
+                "" if v is None else v if isinstance(v, int) else f"{float(v):.6f}"
+                for v in values[h]
+            )])
         return buf.getvalue().encode("utf-8")
 
     raise ValueError(f"unknown report format {format!r}")

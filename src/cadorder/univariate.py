@@ -3,19 +3,21 @@ sequences and exact counting of distinct real roots.
 
 Polynomials hold Fraction coefficients; gcd, squarefree part and root
 counting run on integer coefficient lists scaled by positive factors, so root
-counts are exact.  Signs at plus or minus infinity are read off leading
-coefficients and degree parity, never by evaluating at large numbers.
+counts are exact.  The gcd, the integer Sturm chain and the textbook Sturm
+chain are one remainder sequence over one pseudo-remainder kernel, the
+`_prem` that resultants in poly use too.  Signs at plus or minus infinity are
+read off leading coefficients and degree parity, never by evaluating at large
+numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import gcd as _int_gcd
+from math import gcd, lcm
 from typing import Iterable
 
-from .poly import Monomial, Polynomial, Variable
+from .poly import Monomial, Polynomial, Variable, _prem, _trim
 
 
 @dataclass(frozen=True)
@@ -28,10 +30,7 @@ class UnivariatePolynomial:
 
     @staticmethod
     def make(variable: Variable, coefficients: Iterable[Fraction | int]) -> "UnivariatePolynomial":
-        coeffs = [Fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return UnivariatePolynomial(variable, tuple(coeffs))
+        return UnivariatePolynomial(variable, tuple(_trim([Fraction(c) for c in coefficients])))
 
     @property
     def degree(self) -> int:
@@ -74,51 +73,44 @@ def to_polynomial(p: UnivariatePolynomial) -> Polynomial:
     })
 
 
-# Coefficient-list kernels.  Pseudo-remainders are scaled only by positive
-# factors, so the sign pattern of a Sturm chain is preserved while coefficient
-# growth stays under control.
+# Coefficient-list kernels.  Integer chains take primitive parts to keep
+# coefficient growth under control.
 
 
 def _int_coeffs(p: UnivariatePolynomial) -> list[int]:
     """Coefficients scaled by a positive common denominator."""
-    denom = reduce(
-        lambda a, b: a * b.denominator // _int_gcd(a, b.denominator),
-        p.coefficients, 1,
-    )
+    denom = lcm(*(c.denominator for c in p.coefficients))
     return [int(c * denom) for c in p.coefficients]
 
 
 def _pp_ints(a: list[int]) -> list[int]:
     """Primitive part, sign preserved."""
-    while a and a[-1] == 0:
-        a.pop()
-    if not a:
-        return a
-    g = reduce(_int_gcd, (abs(c) for c in a), 0)
+    g = gcd(*a)
     return [c // g for c in a]
 
 
-def _prem_pos(a: list[int], b: list[int]) -> list[int]:
-    """Remainder of a by b times some positive factor, which is 1 when b is monic."""
-    db, lc = len(b) - 1, b[-1]
-    r = list(a)
-    mult = abs(lc)
-    while r and len(r) - 1 >= db:
-        dr = len(r) - 1
-        fac = r[-1] if lc > 0 else -r[-1]
-        r = [mult * c for c in r]
-        for i, bc in enumerate(b):
-            r[i + dr - db] -= fac * bc
-        while r and r[-1] == 0:
-            r.pop()
-    return r
+def _remainder_sequence(a: list, b: list, step) -> list[list]:
+    """a, b, step(a, b), step(b, step(a, b)), ... up to the last nonzero member."""
+    seq = [a]
+    while b:
+        seq.append(b)
+        a, b = b, step(a, b)
+    return seq
+
+
+def _negated_prem(a: list, b: list) -> list:
+    """Minus the remainder of a by b, times a positive factor (lc(b)^k for b
+    made positive-leading, since rem(a, -b) = rem(a, b)); 1 when b is monic."""
+    return [-c for c in _prem(a, b if b[-1] > 0 else [-c for c in b])]
+
+
+def _int_chain_step(a: list[int], b: list[int]) -> list[int]:
+    return _pp_ints(_negated_prem(a, b))
 
 
 def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
-    a, b = _pp_ints(list(a)), _pp_ints(list(b))
-    while b:
-        a, b = b, _pp_ints(_prem_pos(a, b))
-    return a if not a or a[-1] > 0 else [-c for c in a]
+    g = _remainder_sequence(_pp_ints(a), _pp_ints(b), _int_chain_step)[-1]
+    return g if not g or g[-1] > 0 else [-c for c in g]
 
 
 def _exact_div_ints(a: list[int], b: list[int]) -> list[int]:
@@ -133,8 +125,7 @@ def _exact_div_ints(a: list[int], b: list[int]) -> list[int]:
         q[shift] = c
         for i, bc in enumerate(b):
             r[i + shift] -= c * bc
-        while r and r[-1] == 0:
-            r.pop()
+        _trim(r)
     assert not r
     return q
 
@@ -151,8 +142,6 @@ def squarefree_part(p: UnivariatePolynomial) -> UnivariatePolynomial:
     """p / gcd(p, p'): same distinct real roots, all multiplicities one."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return UnivariatePolynomial.make(p.variable, [1])
     a = _pp_ints(_int_coeffs(p))
     da = [i * c for i, c in enumerate(a)][1:]
     sf = _exact_div_ints(a, _gcd_ints(a, da))
@@ -162,24 +151,21 @@ def squarefree_part(p: UnivariatePolynomial) -> UnivariatePolynomial:
 
 
 def sturm_sequence(p: UnivariatePolynomial) -> list[UnivariatePolynomial]:
-    """Canonical Sturm chain of a squarefree polynomial.
+    """Canonical Sturm chain: s0 = p, s1 = p', then negated Euclidean
+    remainders until the last nonzero member.
 
-    s0 = p, s1 = p', then negated Euclidean remainders until the first
-    constant.  No rescaling is applied, so signs are exactly those of the
-    textbook chain.
+    Each remainder is the shared pseudo-remainder by the monic divisor, so it
+    is exact and no rescaling is applied: signs are exactly those of the
+    textbook chain.  A constant p gives [p]; a non-squarefree p gives a chain
+    that stops at gcd(p, p') instead of a constant.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    chain = [p]
-    if p.degree >= 1:
-        chain.append(p.derivative())
-        while chain[-1].degree >= 1:
-            b = chain[-1].coefficients
-            rem = _prem_pos(chain[-2].coefficients, [c / b[-1] for c in b])
-            if not rem:
-                break  # not squarefree; chain stops at the gcd
-            chain.append(UnivariatePolynomial.make(p.variable, [-c for c in rem]))
-    return chain
+    chain = _remainder_sequence(
+        p.coefficients, p.derivative().coefficients,
+        lambda a, b: _negated_prem(a, [c / b[-1] for c in b]),
+    )
+    return [UnivariatePolynomial.make(p.variable, s) for s in chain]
 
 
 def _sign_variations(signs: list[int]) -> int:
@@ -196,12 +182,7 @@ def count_distinct_real_roots(p: UnivariatePolynomial) -> int:
     sf = _int_coeffs(squarefree_part(p))
     # Integer Sturm chain; members are scaled by positive factors only, so
     # sign variations match the canonical chain exactly.
-    chain = [sf, _pp_ints([i * c for i, c in enumerate(sf)][1:])]
-    while len(chain[-1]) > 1:
-        r = _prem_pos(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(_pp_ints([-c for c in r]))
+    chain = _remainder_sequence(sf, _pp_ints([i * c for i, c in enumerate(sf)][1:]), _int_chain_step)
     at_pos = [1 if s[-1] > 0 else -1 for s in chain]
     at_neg = [
         sign if (len(s) - 1) % 2 == 0 else -sign

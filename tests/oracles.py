@@ -1,10 +1,12 @@
 """Independent oracles, kept deliberately separate from the library's own
 algorithms: the resultant is recomputed here as an explicit Sylvester-matrix
-determinant by division-free minor expansion, and the graded-lex monomial
-order as a comparison of dense exponent vectors."""
+determinant by division-free minor expansion, the graded-lex monomial order
+as a comparison of dense exponent vectors, and the Sturm chain by plain
+rational long division."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 from cadorder import Monomial, Polynomial, Variable
@@ -74,3 +76,34 @@ def sylvester_resultant(p: Polynomial, q: Polynomial, v: Variable) -> Polynomial
     against degree d gives the diagonal matrix with d copies of c)."""
     rows = sylvester_matrix(p, q, v)
     return _determinant(tuple(tuple(r) for r in rows))
+
+
+def textbook_sturm(coeffs: list[Fraction]) -> list[list[Fraction]]:
+    """Sturm chain of a nonzero polynomial given low-to-high: p, p', then
+    each next member is minus the remainder of Fraction long division of
+    the two before it, until that remainder is zero."""
+
+    def trimmed(a: list[Fraction]) -> list[Fraction]:
+        a = list(a)
+        while a and a[-1] == 0:
+            a.pop()
+        return a
+
+    def remainder(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+        r = list(a)
+        while len(r) >= len(b):
+            q = r[-1] / b[-1]
+            shift = len(r) - len(b)
+            for i, c in enumerate(b):
+                r[shift + i] -= q * c
+            r = trimmed(r[:-1])  # the leading term cancels exactly
+        return r
+
+    chain = [trimmed(coeffs), trimmed([i * c for i, c in enumerate(coeffs)][1:])]
+    if not chain[-1]:
+        return chain[:1]
+    while True:
+        r = remainder(chain[-2], chain[-1])
+        if not r:
+            return chain
+        chain.append([-c for c in r])

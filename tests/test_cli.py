@@ -77,6 +77,13 @@ class TestAnalyze:
         code, _, err = invoke(["analyze", "no_such_file.poly"])
         assert code == 2
 
+    def test_no_variables_exit_1(self, tmp_path):
+        constant = tmp_path / "constant.poly"
+        constant.write_text("5\n")
+        for heuristic in ("brown", "sotd", "ndrr", "all"):
+            code, out, err = invoke(["analyze", str(constant), "--heuristic", heuristic])
+            assert (code, out, err) == (1, "", "cadorder: error: no variables to order\n")
+
 
 class TestOrderings:
     def test_lists_metrics(self, bivariate_file):
@@ -184,6 +191,13 @@ class TestBench:
         code, out, err = invoke(["bench", "--problems", str(problems)] + self.ARGS[3:])
         assert code == 2 and out == ""
         assert f"cannot read {entry}" in err
+
+    def test_no_variables_names_file_exit_1(self, tmp_path):
+        problems, constant = self.problems_with(tmp_path, "constant.poly")
+        constant.write_text("5\n")
+        code, out, err = invoke(["bench", "--problems", str(problems)] + self.ARGS[3:])
+        assert (code, out) == (1, "")
+        assert err == f"cadorder: error: {constant}: no variables to order\n"
 
     def test_byte_determinism(self):
         for fmt in ("text", "json", "csv"):

@@ -354,6 +354,37 @@ class TestEmitReport:
         for fmt in ("text", "json", "csv"):
             assert emit_report(report, fmt) == emit_report(report, fmt)
 
+    @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json"), ("csv", "csv")])
+    def test_bytes_match_pinned_files(self, report, fmt, ext):
+        # stats_report.* are frozen bytes: regenerate them only for an
+        # intended change of the report format
+        assert emit_report(report, fmt) == (FIXTURES / f"stats_report.{ext}").read_bytes()
+
+    def test_bytes_without_savings(self):
+        table = small_table([("p1", "x>y", 5, 0), ("p1", "y>x", "", 1)])
+        report = compute_report(table, {"sotd": {"p1": ("y", "x")}, "brown": {"p1": ("x", "y")}})
+        saving_rows = [f"  {label:<22}{'n/a':>10}{'n/a':>10}" for label in ("mean", "median", "q1", "q3")]
+        header = " " * 24 + f"{'brown':>10}{'sotd':>10}"
+        assert emit_report(report, "text").decode().splitlines() == [
+            "problems: 1 (no timeout: 0, some timeout: 1)", "",
+            "best pick", header,
+            "  count                          0         0",
+            "  percent                    0.00%     0.00%", "",
+            "cell count saving vs average (over 0 timeout-free problems)", header,
+            *saving_rows, "",
+            "timeout avoidance (over 1 problems with a timeout)", header,
+            "  count                          1         0",
+        ]
+        assert emit_report(report, "csv").decode().splitlines()[1:] == [
+            "brown,0,0.000000,,,,,1", "sotd,0,0.000000,,,,,0",
+        ]
+        payload = json.loads(emit_report(report, "json"))
+        assert payload["per_heuristic"]["sotd"] == {
+            "best_pick_count": 0, "best_pick_pct": 0.0, "mean_saving_pct": None,
+            "median_saving_pct": None, "q1_pct": None, "q3_pct": None,
+            "timeout_avoidance_count": 0,
+        }
+
     def test_unknown_format(self, report):
         with pytest.raises(ValueError, match="unknown report format"):
             emit_report(report, "xml")

@@ -1,0 +1,125 @@
+"""Differential tests of the univariate layer against sympy, and of
+sturm_sequence against the textbook long-division oracle, on random sparse
+integer polynomials with repeated factors, gaps in degree and negative
+leading coefficients.  A gap in degree is where the pseudo-remainder's
+leftover lc(b)**e factor enters the integer chains."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from cadorder import (
+    UnivariatePolynomial,
+    Variable,
+    count_distinct_real_roots,
+    squarefree_part,
+    sturm_sequence,
+    univariate_gcd,
+)
+from oracles import textbook_sturm
+
+sympy = pytest.importorskip("sympy")
+
+x = Variable("x")
+X = sympy.Symbol("x")
+
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return out
+
+
+def sparse_factor(rng, max_degree=5):
+    """Low-to-high integer coefficients with two or three nonzero terms at
+    random degrees, so most factors skip degrees."""
+    degrees = rng.sample(range(max_degree + 1), rng.randint(2, 3))
+    coeffs = [0] * (max(degrees) + 1)
+    for d in degrees:
+        coeffs[d] = rng.choice([c for c in range(-9, 10) if c])
+    return coeffs
+
+
+def sparse_product(rng, max_factors=3):
+    """A product of sparse factors, one of them squared half the time, with
+    a leading coefficient of either sign."""
+    coeffs = [rng.choice([-1, 1])]
+    factors = [sparse_factor(rng) for _ in range(rng.randint(1, max_factors))]
+    if rng.random() < 0.5:
+        factors.append(factors[0])
+    for f in factors:
+        coeffs = _mul(coeffs, f)
+    return coeffs
+
+
+def upoly(coeffs):
+    return UnivariatePolynomial.make(x, coeffs)
+
+
+def sym(coeffs):
+    return sympy.Poly(list(reversed(coeffs)), X)
+
+
+def primitive_positive(p):
+    """Integer low-to-high coefficients of a sympy Poly's primitive part,
+    leading coefficient positive."""
+    _, pp = p.primitive()
+    coeffs = [int(c) for c in reversed(pp.all_coeffs())]
+    return coeffs if coeffs[-1] > 0 else [-c for c in coeffs]
+
+
+CASES = [sparse_product(random.Random(seed)) for seed in range(60)]
+
+
+@pytest.mark.parametrize("coeffs", CASES)
+def test_root_count_matches_sympy(coeffs):
+    assert count_distinct_real_roots(upoly(coeffs)) == sym(coeffs).count_roots()
+
+
+@pytest.mark.parametrize("coeffs", CASES)
+def test_squarefree_part_matches_sympy(coeffs):
+    expected = primitive_positive(sympy.Poly(sympy.sqf_part(sym(coeffs).as_expr()), X))
+    assert squarefree_part(upoly(coeffs)) == upoly(expected)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_gcd_matches_sympy(seed):
+    rng = random.Random(1000 + seed)
+    shared = sparse_product(rng, max_factors=2)
+    p = _mul(shared, sparse_product(rng, max_factors=2))
+    q = _mul(shared, sparse_product(rng, max_factors=2))
+    expected = primitive_positive(sympy.gcd(sym(p), sym(q)))
+    assert univariate_gcd(upoly(p), upoly(q)) == upoly(expected)
+
+
+def _rational(rng, coeffs):
+    d = rng.randint(1, 12)
+    return [Fraction(c, d) for c in coeffs]
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [c for c in CASES if len(c) <= 13]
+    + [_rational(random.Random(seed), sparse_product(random.Random(seed), 2)) for seed in range(20)],
+)
+def test_sturm_sequence_matches_textbook(coeffs):
+    assert [s.coefficients for s in sturm_sequence(upoly(coeffs))] == [
+        tuple(m) for m in textbook_sturm([Fraction(c) for c in coeffs])
+    ]
+
+
+def test_sturm_sequence_of_non_squarefree_input_stops_at_gcd():
+    p = [-1, 1, 1, -1]  # -(x - 1)^2 (x + 1)
+    chain = sturm_sequence(upoly(p))
+    assert [s.coefficients for s in chain] == [tuple(m) for m in textbook_sturm([Fraction(c) for c in p])]
+    assert chain[-1].degree == 1
+    assert univariate_gcd(chain[-1], upoly([-1, 1])) == upoly([-1, 1])
+
+
+def test_sturm_sequence_of_constant_is_itself():
+    p = upoly([Fraction(-7, 3)])
+    assert sturm_sequence(p) == [p]
+    assert textbook_sturm([Fraction(-7, 3)]) == [[Fraction(-7, 3)]]
