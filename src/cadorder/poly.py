@@ -6,15 +6,34 @@ shared freely between threads.  The module also provides the resultant and
 discriminant machinery needed to build CAD projection sets; resultants are
 computed with a subresultant polynomial remainder sequence, staying in the
 integer ring throughout.
+
+``Monomial`` is the only monomial type outside this module.  Inside it, a
+product with many term pairs and an exact division by a non-constant
+polynomial work on packed integer keys, one per monomial, made once per call
+and unpacked into Monomials at the end (Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007).  A key has one field for the total degree, at the top, and then one
+field per variable of the operands in name order, all of the same width: the
+bit length of the largest total degree the call can reach, plus one guard bit
+at the top of each field.  No field can overflow into the next, so
+
+- the key of a product of monomials is the sum of their keys;
+- comparing keys compares the total degree first and then the exponents in
+  name order, which is graded-lex order (``Monomial.order_key``), so the
+  largest key is the leading monomial;
+- ``k - j`` is the key of a monomial quotient exactly when no guard bit of
+  the difference is set: an exponent of j larger than k's borrows, and the
+  borrow sets the guard bit of the lowest such field.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Mapping
+from heapq import heapify, heappop, heappush
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -42,22 +61,22 @@ class Monomial(tuple):
     """A product of variables with positive integer exponents.
 
     The tuple of (variable, exponent) pairs sorted by variable name, so it
-    compares and hashes as that tuple; variables with exponent zero are never
-    stored.
+    compares and hashes as that tuple; each variable is stored once, and
+    variables with exponent zero are never stored.  Exponents given for the
+    same variable more than once are summed.
     """
 
     __slots__ = ()
 
     def __new__(cls, exps: Mapping[Variable, int] | Iterable[tuple[Variable, int]]) -> "Monomial":
-        items = exps.items() if isinstance(exps, dict) else exps
-        cleaned = []
+        items = exps.items() if isinstance(exps, Mapping) else exps
+        summed: dict[Variable, int] = {}
         for v, e in items:
             if e < 0:
                 raise ValueError("negative exponent in monomial")
-            if e > 0:
-                cleaned.append((v, e))
-        cleaned.sort(key=lambda it: it[0])
-        return super().__new__(cls, cleaned)
+            if e:
+                summed[v] = summed.get(v, 0) + e
+        return super().__new__(cls, sorted(summed.items()))
 
     @property
     def exps(self) -> tuple[tuple[Variable, int], ...]:
@@ -102,16 +121,6 @@ class Monomial(tuple):
         out.extend(other[j:])
         return tuple.__new__(Monomial, out)  # already sorted, positive, unique
 
-    def divide_by(self, other: "Monomial") -> "Monomial | None":
-        """Exact monomial quotient, or None when not divisible."""
-        d = dict(self)
-        for v, e in other:
-            r = d.get(v, 0) - e
-            if r < 0:
-                return None
-            d[v] = r
-        return Monomial(d)
-
     def without(self, v: Variable) -> "Monomial":
         return tuple.__new__(Monomial, [(w, e) for w, e in self if w != v])
 
@@ -124,6 +133,35 @@ class Monomial(tuple):
 
 
 _ONE_MONOMIAL = Monomial(())
+
+# Products with at most this many term pairs multiply Monomials pair by pair.
+# Packing has a fixed cost per call (scanning the variables, packing every
+# term, unpacking every result) of about 20 pair merges; on the products that
+# projections make, packing wins from about 50-80 term pairs on (2-core Xeon,
+# Python 3.11).  Most products (parser, pseudo-remainder) have a single-term
+# or constant operand.
+_PAIR_MERGE_MAX = 64
+
+
+def _packing(operands: Iterable[Mapping[Monomial, int]], degree: int):
+    """``(pack, unpack, guards)`` for the packed-key layout described in the
+    module docstring, over the variables of ``operands``, for monomials of
+    total degree at most ``degree``.  ``guards`` has every guard bit set."""
+    vs = sorted({v for terms in operands for m in terms for v, _ in m})
+    w = degree.bit_length() + 1
+    shifts = [(v, (len(vs) - 1 - i) * w) for i, v in enumerate(vs)]
+    top = 1 << (len(vs) * w)  # a unit in the total-degree field
+    unit = {v: (1 << s) + top for v, s in shifts}
+    field = (1 << w) - 1
+    guards = sum(1 << (i * w + w - 1) for i in range(len(vs) + 1))
+
+    def pack(m: Monomial) -> int:
+        return sum([e * unit[v] for v, e in m])
+
+    def unpack(k: int) -> Monomial:
+        return tuple.__new__(Monomial, [(v, e) for v, s in shifts if (e := k >> s & field)])
+
+    return pack, unpack, guards
 
 
 class Polynomial:
@@ -201,12 +239,23 @@ class Polynomial:
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":
         if isinstance(other, int):
             return Polynomial({m: c * other for m, c in self._terms.items()})
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = m1 * m2
-                out[m] = out.get(m, 0) + c1 * c2
-        return Polynomial(out)
+        a, b = self._terms, other._terms
+        if len(a) * len(b) <= _PAIR_MERGE_MAX:
+            out: dict[Monomial, int] = {}
+            for m1, c1 in a.items():
+                for m2, c2 in b.items():
+                    m = m1 * m2
+                    out[m] = out.get(m, 0) + c1 * c2
+            return Polynomial(out)
+        pack, unpack, _ = _packing((a, b), self.total_degree() + other.total_degree())
+        kb = [(pack(m), c) for m, c in b.items()]
+        acc: dict[int, int] = {}
+        for m1, c1 in a.items():
+            k1 = pack(m1)
+            for k2, c2 in kb:
+                k = k1 + k2
+                acc[k] = acc.get(k, 0) + c1 * c2
+        return Polynomial({unpack(k): c for k, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -233,7 +282,7 @@ class Polynomial:
 
     def total_degree(self) -> int:
         """Maximum monomial total degree; 0 for the zero polynomial."""
-        return max((m.total_degree for m in self._terms), default=0)
+        return max([sum([e for _, e in m]) for m in self._terms], default=0)
 
     def coefficients_wrt(self, v: Variable) -> list["Polynomial"]:
         """Coefficient polynomials of v^0 .. v^deg, none involving ``v``."""
@@ -296,28 +345,46 @@ def canonicalize(p: Polynomial) -> Polynomial:
 
 
 def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
-    """Exact polynomial quotient p / d; raises when the division is inexact."""
+    """Exact polynomial quotient p / d; raises when the division is inexact.
+
+    The remainder is kept by packed key, and its leading term is the largest
+    key on a max-heap.  No remainder term ever exceeds p's total degree."""
     if d.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    lm_d = min(d.terms, key=Monomial.order_key)
-    lc_d = d.terms[lm_d]
-    quotient: dict[Monomial, int] = {}
-    r = dict(p.terms)
-    while r:
-        lm_r = min(r, key=Monomial.order_key)
-        qm = lm_r.divide_by(lm_d)
-        if qm is None or r[lm_r] % lc_d != 0:
+    if d.is_constant():  # a constant divides each term of p on its own
+        (lc_d,) = d.terms.values()
+        if any(c % lc_d for c in p.terms.values()):
             raise ArithmeticError("inexact polynomial division")
-        qc = r[lm_r] // lc_d
-        quotient[qm] = qc  # a new monomial: leading monomials strictly fall
-        for m, c in d.terms.items():  # r -= qc*qm*d, in place
-            t = qm * m
-            rc = r.get(t, 0) - qc * c
-            if rc:
-                r[t] = rc
+        return Polynomial({m: c // lc_d for m, c in p.terms.items()})
+    pack, unpack, guards = _packing((p.terms, d.terms), max(p.total_degree(), d.total_degree()))
+    (k_d, lc_d), *rest = sorted(((pack(m), c) for m, c in d.terms.items()), reverse=True)
+    r = {pack(m): c for m, c in p.terms.items()}
+    heap = [-k for k in r]  # r's keys, negated; a key no longer in r is stale
+    heapify(heap)
+    quotient: dict[int, int] = {}
+    while heap:
+        k = -heappop(heap)
+        c = r.pop(k, 0)
+        if not c:
+            continue
+        qk = k - k_d
+        if qk & guards or c % lc_d:
+            raise ArithmeticError("inexact polynomial division")
+        qc = c // lc_d
+        quotient[qk] = qc  # a new key: leading keys strictly fall
+        for kd, dc in rest:  # r -= qc*qm*d, in place; the leading term cancelled
+            t = qk + kd
+            rc = r.get(t)
+            if rc is None:
+                r[t] = -qc * dc
+                heappush(heap, -t)
             else:
-                del r[t]
-    return Polynomial(quotient)
+                rc -= qc * dc
+                if rc:
+                    r[t] = rc
+                else:
+                    del r[t]
+    return Polynomial({unpack(k): c for k, c in quotient.items()})
 
 
 # -- resultants ------------------------------------------------------------

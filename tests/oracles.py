@@ -1,8 +1,9 @@
 """Independent oracles, kept deliberately separate from the library's own
 algorithms: the resultant is recomputed here as an explicit Sylvester-matrix
 determinant by division-free minor expansion, the graded-lex monomial order
-as a comparison of dense exponent vectors, and the Sturm chain by plain
-rational long division."""
+as a comparison of dense exponent vectors, the polynomial product by merging
+the exponents of every pair of terms, and the Sturm chain by plain rational
+long division."""
 
 from __future__ import annotations
 
@@ -23,6 +24,20 @@ def grlex_terms(p: Polynomial) -> list[tuple[Monomial, int]]:
     """Terms of p in descending graded-lex order over its name-sorted variables."""
     var_order = tuple(sorted({v for m in p.terms for v, _ in m.exps}))
     return sorted(p.terms.items(), key=lambda it: grlex_key(it[0], var_order), reverse=True)
+
+
+def pair_merge_product(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p * q term pair by term pair, each monomial product merged in a dict
+    of exponents: no packed keys and no Polynomial.__mul__."""
+    out: dict[Monomial, int] = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            exps = dict(m1.exps)
+            for v, e in m2.exps:
+                exps[v] = exps.get(v, 0) + e
+            m = Monomial(exps)
+            out[m] = out.get(m, 0) + c1 * c2
+    return Polynomial(out)
 
 
 def sylvester_matrix(p: Polynomial, q: Polynomial, v: Variable) -> list[list[Polynomial]]:

@@ -1,12 +1,15 @@
 import random
 import re
+from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cadorder import Monomial, Polynomial, Variable, canonicalize, discriminant, parse_system, render, resultant
-from cadorder.poly import exact_div
+from cadorder.poly import _PAIR_MERGE_MAX, exact_div
 from conftest import random_polynomial
-from oracles import grlex_terms, sylvester_resultant
+from oracles import grlex_terms, pair_merge_product, sylvester_resultant
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 X, Y, Z = Polynomial.variable(x), Polynomial.variable(y), Polynomial.variable(z)
@@ -58,6 +61,16 @@ class TestValueSemantics:
             assert m.exps == pairs
         with pytest.raises(ValueError, match="negative exponent"):
             Monomial({x: -1})
+
+    def test_repeated_variable_is_summed(self):
+        m = Monomial([(x, 1), (y, 3), (x, 1)])
+        assert m == Monomial({x: 2, y: 3}) and m.exps == ((x, 2), (y, 3))
+        assert m.degree_in(x) == 2 and m.total_degree == 5
+        assert (Polynomial({Monomial([(x, 1), (x, 1)]): 1}) - X**2).is_zero()
+        assert Monomial([(x, 1), (x, 0), (y, 0)]) == Monomial({x: 1})
+
+    def test_any_mapping(self):
+        assert Monomial(MappingProxyType({y: 1, x: 2})) == ((x, 2), (y, 1))
 
 
 class TestRingLaws:
@@ -123,6 +136,116 @@ class TestExactDiv:
             exact_div(X + 1, Polynomial.zero())
 
 
+# Exponents at field-width boundaries: a packed field is w bits wide with w - 1
+# bits for the largest value, so 2^k - 1 fills a field and 2^k widens it.
+_BOUNDARY_EXPONENTS = sorted({0, 1, 2, 3} | {2**k - 1 for k in range(1, 8)} | {2**k for k in range(1, 8)})
+_KERNEL_VARIABLES = [Variable(n) for n in "abcdefg"]
+
+
+@st.composite
+def sparse_polynomials(draw, variables, min_terms=1, max_terms=4):
+    """Nonzero polynomials over ``variables`` with min_terms to max_terms
+    terms, most exponents zero, the others small or at field-width
+    boundaries."""
+    exponent = st.one_of(st.just(0), st.just(0), st.sampled_from(_BOUNDARY_EXPONENTS))
+    monomial = st.lists(exponent, min_size=len(variables), max_size=len(variables)).map(
+        lambda es: Monomial(zip(variables, es))
+    )
+    monomials = draw(st.lists(monomial, min_size=min_terms, max_size=max_terms, unique=True))
+    coeffs = draw(
+        st.lists(
+            st.integers(-(2**70), 2**70).filter(bool), min_size=len(monomials), max_size=len(monomials)
+        )
+    )
+    return Polynomial(dict(zip(monomials, coeffs)))
+
+
+@st.composite
+def operand_pairs(draw, packed):
+    """Two polynomials over 1-7 variables whose product has more than
+    _PAIR_MERGE_MAX term pairs (``packed``) or at most that many."""
+    variables = _KERNEL_VARIABLES[: draw(st.integers(1, 7))]
+    if packed:
+        a = draw(sparse_polynomials(variables, 6, 14))
+        b = draw(sparse_polynomials(variables, _PAIR_MERGE_MAX // len(a.terms) + 1, 14))
+    else:
+        a = draw(sparse_polynomials(variables, 1, 8))
+        b = draw(sparse_polynomials(variables, 1, _PAIR_MERGE_MAX // len(a.terms)))
+    return a, b
+
+
+class TestPackedKernels:
+    @pytest.mark.parametrize("packed", [False, True], ids=["pair-merge", "packed"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_product_matches_pair_merge(self, packed, data):
+        a, b = data.draw(operand_pairs(packed))
+        assert (len(a.terms) * len(b.terms) > _PAIR_MERGE_MAX) == packed
+        assert a * b == pair_merge_product(a, b)
+        assert b * a == pair_merge_product(a, b)
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["pair-merge", "packed"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_exact_div_recovers_factor(self, packed, data):
+        a, b = data.draw(operand_pairs(packed))
+        assert exact_div(a * b, b) == a
+        assert exact_div(a * b, a) == b
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=sparse_polynomials(_KERNEL_VARIABLES[:3], 1, 6))
+    def test_zero_dividend(self, d):
+        assert exact_div(Polynomial.zero(), d) == Polynomial.zero()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_inexact_trailing_term_raises(self, data):
+        variables = _KERNEL_VARIABLES[: data.draw(st.integers(1, 7))]
+        a = data.draw(sparse_polynomials(variables, 1, 10))
+        d = data.draw(sparse_polynomials(variables, 1, 10).filter(lambda p: not p.is_constant()))
+        with pytest.raises(ArithmeticError, match="inexact"):
+            exact_div(a * d + 1, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_leading_monomial_short_in_one_variable_raises(self, data):
+        variables = _KERNEL_VARIABLES[: data.draw(st.integers(2, 7))]
+        d = data.draw(sparse_polynomials(variables, 1, 6).filter(lambda p: not p.is_constant()))
+        lead = grlex_terms(d)[0][0]
+        short = data.draw(st.sampled_from([v for v, _ in lead.exps]))
+        other = data.draw(st.sampled_from([v for v in variables if v != short]))
+        # Move part of the short variable's exponent, plus some, onto another
+        # variable: the total degree is enough, the exponent of ``short`` is not.
+        exps = dict(lead.exps)
+        moved = data.draw(st.integers(1, exps[short]))
+        exps[short] -= moved
+        exps[other] = exps.get(other, 0) + moved + data.draw(st.integers(0, 3))
+        cofactor = data.draw(sparse_polynomials([v for v in variables if v != short], 1, 4))
+        p = Polynomial({Monomial(exps): 1}) * cofactor
+        with pytest.raises(ArithmeticError, match="inexact"):
+            exact_div(p, d)
+        with pytest.raises(ArithmeticError, match="inexact"):
+            exact_div(Polynomial({Monomial(exps): 1}), Polynomial({lead: 1}))
+
+    def test_short_in_one_variable_examples(self):
+        for p, d in [(Y**3, X * Y), (X**5 * Z, X * Y * Z), (Y**2 + X, X * Y + 1)]:
+            with pytest.raises(ArithmeticError, match="inexact"):
+                exact_div(p, d)
+
+
+@st.composite
+def resultant_operands(draw, count):
+    """``count`` nonzero polynomials over the same 2-4 variables, exponents
+    0-2 and up to four terms each, and the variable to eliminate."""
+    variables = draw(st.lists(st.sampled_from([x, y, z, Variable("w")]), min_size=2, max_size=4, unique=True))
+    monomial = st.lists(st.integers(0, 2), min_size=len(variables), max_size=len(variables)).map(
+        lambda es: Monomial(zip(variables, es))
+    )
+    term = st.tuples(monomial, st.integers(-5, 5).filter(bool))
+    polys = [Polynomial(dict(draw(st.lists(term, min_size=1, max_size=4, unique_by=lambda t: t[0])))) for _ in range(count)]
+    return (*polys, variables[0])
+
+
 class TestResultant:
     def test_worked_examples(self):
         assert resultant(X**2 - Y, X - 1, x) == 1 - Y
@@ -161,6 +284,19 @@ class TestResultant:
             sign = -1 if (dp * dq) % 2 else 1
             assert resultant(p, q, x) == sign * resultant(q, p, x)
             checked += 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(resultant_operands(2))
+    def test_antisymmetry_property(self, operands):
+        p, q, v = operands
+        sign = (-1) ** (p.degree_in(v) * q.degree_in(v))
+        assert resultant(p, q, v) == sign * resultant(q, p, v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(resultant_operands(3))
+    def test_multiplicativity_property(self, operands):
+        p, q, r, v = operands
+        assert resultant(p * q, r, v) == resultant(p, r, v) * resultant(q, r, v)
 
     def test_multiplicativity(self):
         rng = random.Random(5)
