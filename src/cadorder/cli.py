@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .heuristics import HEURISTICS, choose, enumerate_orderings, ndrr_value, sotd_value
 from .parsing import ParseError, parse_system, render
-from .poly import Polynomial, PolySystem
+from .poly import PolySystem
 from .projection import format_ordering, full_projection, parse_ordering
 from .stats import CellTableError, compute_report, emit_report, load_cell_table
 from .univariate import count_distinct_real_roots, to_univariate
@@ -43,18 +43,6 @@ def _read_system(path: str) -> PolySystem:
         return parse_system(text)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc.reason}", exc.line, exc.col) from None
-
-
-def _source_position(path: str, p: Polynomial) -> tuple[int, int]:
-    """Line and first column of the first line of an already parsed file
-    that reads as p on its own."""
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        try:
-            if parse_system(line).polynomials == (p,):
-                return lineno, len(line) - len(line.lstrip()) + 1
-        except ParseError:
-            pass
-    return 1, 1
 
 
 def _cmd_analyze(args, out) -> int:
@@ -124,19 +112,12 @@ def _cmd_project(args, out) -> int:
 
 def _cmd_roots(args, out) -> int:
     system = _read_system(args.file)
-    counts = []
+    for p, position in zip(system.polynomials, system.positions):
+        if len(p.variables()) > 1:
+            raise ParseError(f"{args.file}: polynomial is not univariate: {render(p)}", *position)
     for p in system.polynomials:
-        vs = p.variables()
-        if len(vs) > 1:
-            reason = f"{args.file}: polynomial is not univariate: {render(p)}"
-            raise ParseError(reason, *_source_position(args.file, p))
-        v = next(iter(vs)) if vs else system.variables[0] if system.variables else None
-        if v is None:
-            counts.append(0)
-        else:
-            counts.append(count_distinct_real_roots(to_univariate(p, v)))
-    for c in counts:
-        out.write(f"{c}\n")
+        vs = p.variables()  # a constant has no roots
+        out.write(f"{count_distinct_real_roots(to_univariate(p, *vs)) if vs else 0}\n")
     return EXIT_OK
 
 

@@ -10,12 +10,16 @@ exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from string import ascii_letters, digits
 
 from .poly import Polynomial, PolySystem, Variable
 
 _NAME_CHARS = ascii_letters + digits + "_"  # ASCII only, as Variable requires
+
+# Each level of parentheses costs the recursive-descent parser four stack
+# frames; this many levels stay well inside Python's default recursion limit.
+_MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -74,6 +78,7 @@ class _LineParser:
         self.pos = 0
         self.lineno = lineno
         self.declared = declared
+        self.depth = 0  # open parentheses
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -94,12 +99,9 @@ class _LineParser:
         return p
 
     def expr(self) -> Polynomial:
-        negate = False
-        if self.peek().kind in "+-":
-            negate = self.advance().kind == "-"
+        if self.peek().kind == "+":
+            self.advance()
         p = self.term()
-        if negate:
-            p = -p
         while self.peek().kind in "+-":
             op = self.advance().kind
             q = self.term()
@@ -114,9 +116,10 @@ class _LineParser:
         return p
 
     def factor(self) -> Polynomial:
-        if self.peek().kind == "-":
+        negate = False
+        while self.peek().kind == "-":  # a unary minus, or a run of them
             self.advance()
-            return -self.factor()
+            negate = not negate
         p = self.atom()
         if self.peek().kind == "^":
             self.advance()
@@ -125,7 +128,7 @@ class _LineParser:
                 self.fail("exponent must be a non-negative integer literal", tok)
             self.advance()
             p = p ** int(tok.text)
-        return p
+        return -p if negate else p
 
     def atom(self) -> Polynomial:
         tok = self.peek()
@@ -138,11 +141,15 @@ class _LineParser:
                 self.fail(f"undeclared variable {tok.text!r}", tok)
             return Polynomial.variable(Variable(tok.text))
         if tok.kind == "(":
+            if self.depth == _MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {_MAX_NESTING}", tok)
             self.advance()
+            self.depth += 1
             p = self.expr()
             if self.peek().kind != ")":
                 self.fail("expected ')'")
             self.advance()
+            self.depth -= 1
             return p
         self.fail(f"expected a term, found {tok.text!r}" if tok.kind != "END"
                   else "unexpected end of line", tok)
@@ -156,12 +163,14 @@ def _strip_comment(line: str) -> str:
 def parse_system(text: str) -> PolySystem:
     """Parse a ``.poly`` document into a polynomial system.
 
-    Raises ParseError on syntax errors, undeclared variables, zero-polynomial
-    lines, duplicate declarations or an empty system.  Duplicate polynomials
-    are collapsed.
+    Raises ParseError on syntax errors, parentheses nested more than
+    100 deep, undeclared variables, zero-polynomial lines, duplicate
+    declarations or an empty system.  Duplicate polynomials are collapsed,
+    and the system's ``positions`` give the line and first non-blank column
+    of the line where each polynomial first appears.
     """
     declared: list[Variable] | None = None
-    polys: list[Polynomial] = []
+    first: dict[Polynomial, tuple[int, int]] = {}  # polynomial -> (line, column)
     seen_significant = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
@@ -186,13 +195,13 @@ def parse_system(text: str) -> PolySystem:
             continue
         seen_significant = True
         p = _LineParser(line, lineno, declared).parse()
+        col = len(line) - len(line.lstrip()) + 1
         if p.is_zero():
-            first = len(line) - len(line.lstrip()) + 1
-            raise ParseError("polynomial simplifies to zero", lineno, first)
-        polys.append(p)
-    if not polys:
+            raise ParseError("polynomial simplifies to zero", lineno, col)
+        first.setdefault(p, (lineno, col))
+    if not first:
         raise ParseError("empty system", 1, 1)
-    return PolySystem.make(polys, variables=declared)
+    return replace(PolySystem.make(first, variables=declared), positions=tuple(first.values()))
 
 
 def render(p: Polynomial) -> str:

@@ -31,7 +31,8 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
 
@@ -262,14 +263,10 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n < 2:
+            return self if n else Polynomial.constant(1)
+        half = self ** (n // 2)  # squares only while bits of n remain
+        return half * half * self if n & 1 else half * half
 
     # -- structure ---------------------------------------------------------
 
@@ -315,23 +312,22 @@ class Polynomial:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks: list[str] = []
-        for m, c in sorted(self._terms.items(), key=lambda t: t[0].order_key()):
-            factors = [f"{v}^{e}" if e > 1 else str(v) for v, e in m]
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not chunks:
-                chunks.append(("-" if c < 0 else "") + body)
-            else:
-                chunks.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(chunks)
+        return _render(self._terms)
+
+
+def _render(terms: Mapping[Monomial, int | Fraction]) -> str:
+    """Infix text of a sum of terms in graded-lex order, each coefficient
+    written exactly: an int as digits, a Fraction as ``n/d``."""
+    if not terms:
+        return "0"
+    chunks: list[str] = []
+    for m, c in sorted(terms.items(), key=lambda t: t[0].order_key()):
+        factors = [f"{v}^{e}" if e > 1 else str(v) for v, e in m]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        chunks.append(("- " if c < 0 else "+ ") + "*".join(factors))
+    text = " ".join(chunks)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def canonicalize(p: Polynomial) -> Polynomial:
@@ -431,9 +427,7 @@ def resultant(p: Polynomial, q: Polynomial, v: Variable) -> Polynomial:
     if p.is_zero() or q.is_zero():
         raise ValueError("zero operand")
     dp, dq = p.degree_in(v), q.degree_in(v)
-    if dp == 0 and dq == 0:
-        return Polynomial.constant(1)
-    if dq == 0:
+    if dq == 0:  # q**0 is 1 when both degrees are 0
         return q**dp
     if dp == 0:
         return p**dq
@@ -487,10 +481,14 @@ def discriminant(p: Polynomial, v: Variable) -> Polynomial:
 @dataclass(frozen=True)
 class PolySystem:
     """An input system: its variables in canonical name order, plus the
-    deduplicated list of nonzero polynomials."""
+    deduplicated list of nonzero polynomials.  A parsed system's
+    ``positions`` are the 1-based (line, column) where each polynomial first
+    appears in the source; ``make`` leaves them empty.  Equality, hashing and
+    repr ignore them."""
 
     variables: tuple[Variable, ...]
     polynomials: tuple[Polynomial, ...]
+    positions: tuple[tuple[int, int], ...] = field(default=(), compare=False, repr=False)
 
     @staticmethod
     def make(

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .poly import Monomial, Polynomial, Variable, _prem, _trim
+from .poly import Monomial, Polynomial, Variable, _prem, _render, _trim
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,9 @@ class UnivariatePolynomial:
         )
 
     def __str__(self) -> str:
-        return str(to_polynomial(self))
+        """Exact rational coefficients, e.g. ``-1/3*x + 1/2``; not .poly input."""
+        terms = {Monomial([(self.variable, i)]): c for i, c in enumerate(self.coefficients) if c}
+        return _render(terms)
 
 
 def to_univariate(p: Polynomial, v: Variable) -> UnivariatePolynomial:
@@ -64,13 +66,6 @@ def to_univariate(p: Polynomial, v: Variable) -> UnivariatePolynomial:
     for m, c in p.terms.items():
         coeffs[m.degree_in(v)] = Fraction(c)
     return UnivariatePolynomial.make(v, coeffs)
-
-
-def to_polynomial(p: UnivariatePolynomial) -> Polynomial:
-    """Integer-scale a univariate polynomial back to the sparse representation."""
-    return Polynomial({
-        Monomial([(p.variable, i)]): n for i, n in enumerate(_int_coeffs(p)) if n
-    })
 
 
 # Coefficient-list kernels.  Integer chains take primitive parts to keep

@@ -69,6 +69,13 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err == f"cadorder: parse error: line 1, column 3: {bad}: unexpected character '\u0663'\n"
 
+    def test_deep_nesting_exit_2(self, tmp_path):
+        bad = tmp_path / "deep.poly"
+        bad.write_text("(" * 1000 + "x" + ")" * 1000 + "\n")
+        code, out, err = invoke(["analyze", str(bad)])
+        assert code == 2 and out == ""
+        assert err == f"cadorder: parse error: line 1, column 101: {bad}: parentheses nested deeper than 100\n"
+
     def test_usage_error_exit_1(self, bivariate_file):
         code, _, err = invoke(["analyze", bivariate_file, "--heuristic", "nope"])
         assert code == 1 and "usage error" in err
@@ -124,6 +131,28 @@ class TestRoots:
         code, out, err = invoke(["roots", str(path)])
         assert code == 2 and out == ""
         assert err == f"cadorder: parse error: line 3, column 1: {path}: polynomial is not univariate: x*y + 1\n"
+
+    @pytest.mark.parametrize(
+        "text, line, col, poly",
+        [
+            ("x^2 - 2\nx*y + 1\ny^2 - 3\nx*y + 1\n", 2, 1, "x*y + 1"),
+            ("x^2 - 2\n   y*x - 3  # indented\n", 2, 4, "x*y - 3"),
+            ("# head\n\nvars: x, y\n# c\n5\nx^2 - 1\n\t x*y + 1\n", 7, 3, "x*y + 1"),
+            ("y^3 - y\nx^2 - 1\n2*x*y\nx*y - 1\n", 3, 1, "2*x*y"),
+        ],
+        ids=["repeated-first-wins", "indented", "after-vars-and-comments", "not-first"],
+    )
+    def test_multivariate_position(self, tmp_path, text, line, col, poly):
+        path = tmp_path / "mixed.poly"
+        path.write_text(text)
+        code, out, err = invoke(["roots", str(path)])
+        assert code == 2 and out == ""
+        assert err == f"cadorder: parse error: line {line}, column {col}: {path}: polynomial is not univariate: {poly}\n"
+
+    def test_constants_count_zero(self, tmp_path):
+        path = tmp_path / "c.poly"
+        path.write_text("5\n-3\nx^2 - 2\n")
+        assert invoke(["roots", str(path)]) == (0, "0\n0\n2\n", "")
 
 
 class TestBench:

@@ -2,12 +2,26 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cadorder import ParseError, Polynomial, Variable, parse_system, render
+from cadorder import Monomial, ParseError, Polynomial, PolySystem, Variable, parse_system, render
 from conftest import random_polynomial
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 X, Y, Z = Polynomial.variable(x), Polynomial.variable(y), Polynomial.variable(z)
+
+
+@st.composite
+def polynomials(draw):
+    """Nonzero polynomials in 1-4 variables; coefficients of both signs, +-1
+    and values above 2^64 among them."""
+    variables = [Variable(n) for n in ("x", "y", "z", "w_2")][: draw(st.integers(1, 4))]
+    exponents = st.lists(st.integers(0, 5), min_size=len(variables), max_size=len(variables))
+    monomial = exponents.map(lambda es: Monomial(zip(variables, es)))
+    monomials = draw(st.lists(monomial, min_size=1, max_size=6, unique=True))
+    coefficient = st.one_of(st.sampled_from([1, -1]), st.integers(-(2**80), 2**80).filter(bool))
+    return Polynomial({m: draw(coefficient) for m in monomials})
 
 
 class TestParseSystem:
@@ -87,6 +101,46 @@ class TestParseSystem:
         b = parse_system("  x ^ 2 + 3 * x * y - 7 ")
         assert a.polynomials == b.polynomials
 
+    def test_runs_of_unary_minus(self):
+        # a run of minus signs is read in one loop, so its length is unbounded
+        assert parse_system("-" * 5000 + "x").polynomials == (X,)
+        assert parse_system("-" * 5001 + "x").polynomials == (-X,)
+        assert parse_system("--x*y - -3").polynomials == (X * Y + 3,)
+        assert parse_system("+-x^2").polynomials == (-(X**2),)
+
+    @pytest.mark.parametrize(
+        "text, col, message",
+        [("-+x", 2, "expected a term, found '+'"), ("++x", 2, "expected a term, found '+'"),
+         ("-", 2, "unexpected end of line"), ("x * - ", 7, "unexpected end of line")],
+    )
+    def test_sign_errors(self, text, col, message):
+        with pytest.raises(ParseError) as info:
+            parse_system(text)
+        assert (info.value.line, info.value.col, info.value.reason) == (1, col, message)
+
+    def test_nested_parentheses_parse(self):
+        assert parse_system("(" * 100 + "x" + ")" * 100).polynomials == (X,)
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="parentheses nested deeper than 100") as info:
+            parse_system("x + 1\n" + "(" * 1000 + "x" + ")" * 1000)
+        assert (info.value.line, info.value.col) == (2, 101)
+
+
+class TestPositions:
+    def test_first_occurrence_line_and_column(self):
+        text = "# head\n\nvars: x, y\n# c\n  x^2 - 1\nx*y + 1  # t\n\t x^2 - 1\n5\n"
+        system = parse_system(text)
+        assert system.polynomials == (X**2 - 1, X * Y + 1, Polynomial.constant(5))
+        assert system.positions == ((5, 3), (6, 1), (8, 1))
+
+    def test_ignored_by_equality_hash_and_repr(self):
+        parsed = parse_system("\n  x + y\n")
+        built = PolySystem.make([X + Y])
+        assert parsed.positions == ((2, 3),) and built.positions == ()
+        assert parsed == built and hash(parsed) == hash(built)
+        assert repr(parsed) == repr(built)
+
 
 class TestRender:
     def test_examples(self):
@@ -97,6 +151,11 @@ class TestRender:
     def test_graded_lex_term_order(self):
         p = X * Y**2 + X**2 * Y + X + Y**3
         assert render(p) == "x^2*y + x*y^2 + y^3 + x"
+
+    @settings(max_examples=200, deadline=None)
+    @given(polynomials())
+    def test_round_trip_property(self, p):
+        assert parse_system(render(p)).polynomials == (p,)
 
     def test_round_trip(self):
         rng = random.Random(21)

@@ -41,6 +41,22 @@ class TestBasics:
         assert hash(X * Y + 1) == hash(1 + Y * X)
 
 
+class TestPower:
+    @pytest.mark.parametrize("n, products", [(0, 0), (1, 0), (2, 1), (3, 2), (5, 3), (8, 3)])
+    def test_squares_only_while_bits_remain(self, monkeypatch, n, products):
+        p = X + 2 * Y - 1
+        calls = []
+        mul = Polynomial.__mul__
+        monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        got = p**n
+        monkeypatch.undo()
+        assert len(calls) == products
+        expected = Polynomial.constant(1)
+        for _ in range(n):
+            expected = expected * p
+        assert got == expected
+
+
 class TestValueSemantics:
     def test_variable_is_its_name(self):
         assert Variable("x") == "x" and hash(Variable("x")) == hash("x")
@@ -333,6 +349,13 @@ class TestCanonicalize:
             p = random_polynomial(rng, [x, y, z], max_degree=3, nonzero=False)
             once = canonicalize(p)
             assert canonicalize(once) == once
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_polynomials([x, y, z], 1, 6))
+    def test_idempotent_property(self, p):
+        once = canonicalize(p)
+        assert canonicalize(once) == once
+        assert once.content() == 1 and once.leading_coefficient() > 0
 
     def test_positive_leading_coefficient(self):
         rng = random.Random(7)

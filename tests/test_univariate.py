@@ -90,6 +90,21 @@ class TestSturmSequence:
         ]
 
 
+class TestRender:
+    def test_exact_rational_coefficients(self):
+        assert str(upoly(Fraction(1, 2), Fraction(-1, 3))) == "-1/3*x + 1/2"
+        assert str(upoly(Fraction(9, 4))) == "9/4"
+
+    def test_sturm_chain(self):
+        chain = sturm_sequence(upoly(1, -3, 0, 1))
+        assert [str(s) for s in chain] == ["x^3 - 3*x + 1", "3*x^2 - 3", "2*x - 1", "9/4"]
+
+    def test_integer_polynomials(self):
+        assert str(upoly(-2, 0, 1)) == "x^2 - 2"
+        assert str(upoly(0, -1, 0, 7)) == "7*x^3 - x"
+        assert str(upoly()) == "0"
+
+
 class TestRootCounting:
     @pytest.mark.parametrize(
         "coeffs,expected",
