@@ -36,11 +36,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_system(path: str) -> PolySystem:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}", 1, 1)
     try:
-        return parse_system(text)
+        return parse_system(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        # lines as parse_system splits them; the last one ends at the bad byte
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        reason = f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
+        raise ParseError(f"{path}: {reason}", len(lines), len(lines[-1])) from None
     except ParseError as exc:
         raise ParseError(f"{path}: {exc.reason}", exc.line, exc.col) from None
 

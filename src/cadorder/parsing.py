@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from string import ascii_letters, digits
 
-from .poly import Polynomial, PolySystem, Variable
+from .poly import Polynomial, PolySystem, Variable, _int_of_digits
 
 _NAME_CHARS = ascii_letters + digits + "_"  # ASCII only, as Variable requires
 
@@ -134,7 +134,7 @@ class _LineParser:
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
-            return Polynomial.constant(int(tok.text))
+            return Polynomial.constant(_int_of_digits(tok.text))
         if tok.kind == "NAME":
             self.advance()
             if self.declared is not None and tok.text not in self.declared:

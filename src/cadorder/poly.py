@@ -5,7 +5,9 @@ integer coefficients.  Everything here is immutable and pure, so values can be
 shared freely between threads.  The module also provides the resultant and
 discriminant machinery needed to build CAD projection sets; resultants are
 computed with a subresultant polynomial remainder sequence, staying in the
-integer ring throughout.
+integer ring throughout.  Its pseudo-remainders come from ``_prem``, the one
+fixed-step pseudo-division on dense coefficient lists, which the univariate
+chains share.
 
 ``Monomial`` is the only monomial type outside this module.  Inside it, a
 product with many term pairs and an exact division by a non-constant
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -315,6 +318,38 @@ class Polynomial:
         return _render(self._terms)
 
 
+# Python refuses an int <-> str conversion of more digits than a process-wide
+# limit, which may be set as low as this threshold; pieces of fewer digits
+# always convert.
+_DIGITS = sys.int_info.str_digits_check_threshold - 1
+_BASE = 10**_DIGITS
+
+
+def _decimal(c: int | Fraction) -> str:
+    """``str(c)`` of an int or Fraction of any length."""
+    if isinstance(c, Fraction):
+        n, d = c.numerator, c.denominator
+        return _decimal(n) if d == 1 else f"{_decimal(n)}/{_decimal(d)}"
+    if -_BASE < c < _BASE:
+        return str(c)
+    n, pieces = abs(c), []
+    while n >= _BASE:
+        n, low = divmod(n, _BASE)
+        pieces.append(f"{low:0{_DIGITS}d}")
+    return ("-" if c < 0 else "") + str(n) + "".join(reversed(pieces))
+
+
+def _int_of_digits(text: str) -> int:
+    """``int(text)`` of a string of ASCII digits of any length."""
+    if len(text) < _DIGITS:
+        return int(text)
+    head = len(text) % _DIGITS or _DIGITS
+    n = int(text[:head])
+    for i in range(head, len(text), _DIGITS):
+        n = n * _BASE + int(text[i:i + _DIGITS])
+    return n
+
+
 def _render(terms: Mapping[Monomial, int | Fraction]) -> str:
     """Infix text of a sum of terms in graded-lex order, each coefficient
     written exactly: an int as digits, a Fraction as ``n/d``."""
@@ -324,7 +359,7 @@ def _render(terms: Mapping[Monomial, int | Fraction]) -> str:
     for m, c in sorted(terms.items(), key=lambda t: t[0].order_key()):
         factors = [f"{v}^{e}" if e > 1 else str(v) for v, e in m]
         if abs(c) != 1 or not factors:
-            factors.insert(0, str(abs(c)))
+            factors.insert(0, _decimal(abs(c)))
         chunks.append(("- " if c < 0 else "+ ") + "*".join(factors))
     text = " ".join(chunks)
     return text[2:] if text[0] == "+" else "-" + text[2:]
@@ -394,26 +429,20 @@ def _trim(coeffs: list) -> list:
 
 
 def _prem(a: list, b: list) -> list:
-    """Pseudo-remainder of dense coefficient lists: lc(b)^(da-db+1) * a mod b.
-
-    Coefficients may be Polynomials (resultants), ints or Fractions (the
-    univariate gcd and Sturm chains)."""
-    da, db = len(a) - 1, len(b) - 1
-    lc = b[-1]
+    """Pseudo-remainder of dense coefficient lists: lc(b)^(da-db+1) * a mod b,
+    by fixed-step pseudo-division (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R):
+    each of da - db + 1 steps pops the leading coefficient, scales the rest
+    by lc(b) and subtracts the popped one times x^k * b[:-1].  Coefficients
+    may be Polynomials (resultants), ints or Fractions (gcd, Sturm chains)."""
+    lc, tail = b[-1], b[:-1]
     r = list(a)
-    e = da - db + 1
-    while r and len(r) - 1 >= db:
-        dr = len(r) - 1
-        lcr = r[-1]
+    for k in range(len(a) - len(b), -1, -1):
+        lcr = r.pop()
         r = [lc * c for c in r]
-        for i, bc in enumerate(b):
-            r[i + dr - db] = r[i + dr - db] - lcr * bc
-        r = _trim(r)
-        e -= 1
-    if e > 0:
-        f = lc**e
-        r = [f * c for c in r]
-    return r
+        if lcr:
+            for i, bc in enumerate(tail, k):
+                r[i] -= lcr * bc
+    return _trim(r)
 
 
 def resultant(p: Polynomial, q: Polynomial, v: Variable) -> Polynomial:
@@ -432,7 +461,7 @@ def resultant(p: Polynomial, q: Polynomial, v: Variable) -> Polynomial:
     if dp == 0:
         return p**dq
 
-    a, b = _trim(p.coefficients_wrt(v)), _trim(q.coefficients_wrt(v))
+    a, b = p.coefficients_wrt(v), q.coefficients_wrt(v)
     sign = 1
     if dp < dq:
         a, b = b, a

@@ -23,6 +23,8 @@ from itertools import permutations
 from math import floor
 from typing import Mapping, Sequence
 
+from .poly import _int_of_digits
+
 CSV_HEADER = ["problem", "ordering", "cells", "timeout"]
 
 Ordering = tuple[str, ...]
@@ -74,7 +76,11 @@ def load_cell_table(data: bytes | str) -> CellCountTable:
     cell count is present exactly when timeout is 0.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise CellTableError(f"line {line}: invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
     reader = csv.reader(io.StringIO(data))
     try:
         header = next(reader)
@@ -107,11 +113,12 @@ def load_cell_table(data: bytes | str) -> CellCountTable:
                 )
             cells = None
         else:
-            if not (cells_text.isascii() and cells_text.isdigit()) or int(cells_text) <= 0:
+            digits = cells_text.isascii() and cells_text.isdigit()
+            cells = _int_of_digits(cells_text) if digits else 0
+            if cells <= 0:
                 raise CellTableError(
                     f"line {lineno}: cells must be a positive integer"
                 )
-            cells = int(cells_text)
         prows = index.setdefault(problem, {})
         if ordering in prows:
             raise CellTableError(

@@ -5,7 +5,8 @@ Polynomials hold Fraction coefficients; gcd, squarefree part and root
 counting run on integer coefficient lists scaled by positive factors, so root
 counts are exact.  The gcd, the integer Sturm chain and the textbook Sturm
 chain are one remainder sequence over one pseudo-remainder kernel, the
-`_prem` that resultants in poly use too.  Signs at plus or minus infinity are
+fixed-step `_prem` that resultants in poly use too; the exact division of the
+squarefree part runs the same loop.  Signs at plus or minus infinity are
 read off leading coefficients and degree parity, never by evaluating at large
 numbers.
 """
@@ -45,10 +46,7 @@ class UnivariatePolynomial:
         return self.coefficients[-1] if self.coefficients else Fraction(0)
 
     def derivative(self) -> "UnivariatePolynomial":
-        return UnivariatePolynomial.make(
-            self.variable,
-            [i * c for i, c in enumerate(self.coefficients)][1:],
-        )
+        return UnivariatePolynomial.make(self.variable, _derivative(self.coefficients))
 
     def __str__(self) -> str:
         """Exact rational coefficients, e.g. ``-1/3*x + 1/2``; not .poly input."""
@@ -76,6 +74,11 @@ def _int_coeffs(p: UnivariatePolynomial) -> list[int]:
     """Coefficients scaled by a positive common denominator."""
     denom = lcm(*(c.denominator for c in p.coefficients))
     return [int(c * denom) for c in p.coefficients]
+
+
+def _derivative(a) -> list:
+    """Coefficients of the derivative."""
+    return [i * c for i, c in enumerate(a) if i]
 
 
 def _pp_ints(a: list[int]) -> list[int]:
@@ -109,19 +112,20 @@ def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
 
 
 def _exact_div_ints(a: list[int], b: list[int]) -> list[int]:
-    """Exact quotient of integer coefficient lists."""
-    q = [0] * (len(a) - len(b) + 1)
+    """Exact quotient of integer coefficient lists, by the loop of `_prem`
+    without the scaling; raises ArithmeticError when b does not divide a."""
+    lc, tail = b[-1], b[:-1]
     r = list(a)
-    db, lc = len(b) - 1, b[-1]
-    while r and len(r) - 1 >= db:
-        shift = len(r) - 1 - db
-        assert r[-1] % lc == 0
-        c = r[-1] // lc
-        q[shift] = c
-        for i, bc in enumerate(b):
-            r[i + shift] -= c * bc
-        _trim(r)
-    assert not r
+    q = [0] * (len(a) - len(b) + 1)
+    for k in range(len(a) - len(b), -1, -1):
+        c, rem = divmod(r.pop(), lc)
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        q[k] = c
+        for i, bc in enumerate(tail, k):
+            r[i] -= c * bc
+    if any(r):
+        raise ArithmeticError("inexact polynomial division")
     return q
 
 
@@ -138,8 +142,7 @@ def squarefree_part(p: UnivariatePolynomial) -> UnivariatePolynomial:
     if p.is_zero():
         raise ValueError("zero polynomial")
     a = _pp_ints(_int_coeffs(p))
-    da = [i * c for i, c in enumerate(a)][1:]
-    sf = _exact_div_ints(a, _gcd_ints(a, da))
+    sf = _exact_div_ints(a, _gcd_ints(a, _derivative(a)))
     if sf[-1] < 0:
         sf = [-c for c in sf]
     return UnivariatePolynomial.make(p.variable, sf)
@@ -177,7 +180,7 @@ def count_distinct_real_roots(p: UnivariatePolynomial) -> int:
     sf = _int_coeffs(squarefree_part(p))
     # Integer Sturm chain; members are scaled by positive factors only, so
     # sign variations match the canonical chain exactly.
-    chain = _remainder_sequence(sf, _pp_ints([i * c for i, c in enumerate(sf)][1:]), _int_chain_step)
+    chain = _remainder_sequence(sf, _pp_ints(_derivative(sf)), _int_chain_step)
     at_pos = [1 if s[-1] > 0 else -1 for s in chain]
     at_neg = [
         sign if (len(s) - 1) % 2 == 0 else -sign

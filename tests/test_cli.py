@@ -69,6 +69,28 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err == f"cadorder: parse error: line 1, column 3: {bad}: unexpected character '\u0663'\n"
 
+    def test_undecodable_byte_exit_2(self, tmp_path):
+        bad = tmp_path / "bad.poly"
+        bad.write_bytes(b"x + y\n# caf\xc3\xa9\nx^2 - caf\xe9\n")
+        code, out, err = invoke(["analyze", str(bad)])
+        assert code == 2 and out == ""
+        assert err == f"cadorder: parse error: line 3, column 10: {bad}: invalid UTF-8 byte 0xe9\n"
+
+    def test_coefficients_of_any_length(self, tmp_path):
+        # products of 3000-digit coefficients pass 4300 digits, and the
+        # lowest limit Python accepts must not trip the conversions either
+        c = "7" * 3000
+        path = tmp_path / "long.poly"
+        path.write_text(f"x^2 + {c}*y\nx*y^2 + {c}*x + {c}\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cadorder.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-X", "int_max_str_digits=640", "-m", "cadorder.cli",
+             "analyze", str(path), "--format", "json"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert invoke(["analyze", str(path), "--format", "json"]) == (0, proc.stdout, "")
+
     def test_deep_nesting_exit_2(self, tmp_path):
         bad = tmp_path / "deep.poly"
         bad.write_text("(" * 1000 + "x" + ")" * 1000 + "\n")
@@ -213,6 +235,20 @@ class TestBench:
         code, out, err = invoke(["bench", "--problems", str(problems)] + self.ARGS[3:])
         assert code == 2 and out == ""
         assert f"{bad}: unexpected end of line" in err
+
+    def test_undecodable_poly_names_file_exit_2(self, tmp_path):
+        problems, bad = self.problems_with(tmp_path, "bad.poly")
+        bad.write_bytes(b"\xff\n")
+        code, out, err = invoke(["bench", "--problems", str(problems)] + self.ARGS[3:])
+        assert (code, out) == (2, "")
+        assert err == f"cadorder: parse error: line 1, column 1: {bad}: invalid UTF-8 byte 0xff\n"
+
+    def test_undecodable_csv_names_line_exit_3(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"problem,ordering,cells,timeout\np1,x>y,5\xe9,0\n")
+        code, out, err = invoke(self.ARGS[:-1] + [str(bad)])
+        assert (code, out) == (3, "")
+        assert err == "cadorder: cell table error: line 2: invalid UTF-8 byte 0xe9\n"
 
     def test_unreadable_poly_entry_exit_2(self, tmp_path):
         problems, entry = self.problems_with(tmp_path, "dir.poly")

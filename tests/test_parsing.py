@@ -157,6 +157,16 @@ class TestRender:
     def test_round_trip_property(self, p):
         assert parse_system(render(p)).polynomials == (p,)
 
+    def test_coefficients_of_any_length(self):
+        # 5000 digits, past Python's default int <-> str limit of 4300; the
+        # zeros of the second one must survive the conversion
+        nines, padded = "9" * 5000, "1" + "0" * 4998 + "7"
+        text = f"{nines}*x - {padded}"
+        (p,) = parse_system(text).polynomials
+        assert p == (10**5000 - 1) * X - (10**4999 + 7)
+        assert render(p) == text
+        assert parse_system(render(p)).polynomials == (p,)
+
     def test_round_trip(self):
         rng = random.Random(21)
         for _ in range(500):

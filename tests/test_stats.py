@@ -95,6 +95,16 @@ class TestLoad:
         with pytest.raises(CellTableError, match="positive integer"):
             small_table([("p1", "x", "", 0)])
 
+    def test_cells_of_any_length(self):
+        # 5000 digits, past Python's default str-to-int limit of 4300
+        cells = "1" + "0" * 4998 + "7"
+        table = load_cell_table(f"problem,ordering,cells,timeout\np1,x,{cells},0\n")
+        assert table.lookup("p1", ("x",)).cells == 10**4999 + 7
+
+    def test_undecodable_byte_names_line(self):
+        with pytest.raises(CellTableError, match=r"^line 3: invalid UTF-8 byte 0xe9$"):
+            load_cell_table(b"problem,ordering,cells,timeout\np1,x>y,5,0\np1,y>x,5\xe9,0\n")
+
     def test_nonpositive_cells(self):
         with pytest.raises(CellTableError, match="positive integer"):
             small_table([("p1", "x", 0, 0)])

@@ -11,6 +11,7 @@ from cadorder import (
     sturm_sequence,
     univariate_gcd,
 )
+from cadorder.univariate import _exact_div_ints
 
 x = Variable("x")
 
@@ -74,6 +75,28 @@ class TestSquarefree:
             squarefree_part(upoly())
 
 
+class TestExactDivInts:
+    def test_quotient_of_a_product(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            a = [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))] + [rng.choice([-3, 1, 2, 5])]
+            b = [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))] + [rng.choice([-2, 1, 3])]
+            product = [0] * (len(a) + len(b) - 1)
+            for i, ac in enumerate(a):
+                for j, bc in enumerate(b):
+                    product[i + j] += ac * bc
+            assert _exact_div_ints(product, b) == a
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [([1, 0, 1], [1, 1]), ([3, 2], [2]), ([2, 4, 3], [1, 2]), ([1], [1, 1])],
+        ids=["nonzero-remainder", "constant-divisor", "leading-coefficient", "lower-degree"],
+    )
+    def test_inexact_raises(self, a, b):
+        with pytest.raises(ArithmeticError, match="inexact"):
+            _exact_div_ints(a, b)
+
+
 class TestSturmSequence:
     def test_two_real_roots(self):
         assert sturm_sequence(upoly(-1, 0, 1)) == [upoly(-1, 0, 1), upoly(0, 2), upoly(1)]
@@ -103,6 +126,12 @@ class TestRender:
         assert str(upoly(-2, 0, 1)) == "x^2 - 2"
         assert str(upoly(0, -1, 0, 7)) == "7*x^3 - x"
         assert str(upoly()) == "0"
+
+    def test_coefficients_of_any_length(self):
+        # 5000 digits, past Python's default int-to-str limit of 4300
+        nines, padded = "9" * 5000, "1" + "0" * 4998 + "7"
+        p = upoly(Fraction(10**4999 + 7, 10**5000 - 1), -(10**5000 - 1))
+        assert str(p) == f"-{nines}*x + {padded}/{nines}"
 
 
 class TestRootCounting:
