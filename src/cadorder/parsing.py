@@ -5,7 +5,7 @@ polynomial per line in infix notation with ``+ - * ^``, parentheses,
 non-negative integer literals and identifiers, both ASCII only.  ``#`` starts
 a comment, blank lines are ignored, and juxtaposition is not multiplication
 (an explicit ``*`` is required).  ``^`` takes a non-negative integer literal
-exponent.
+exponent of at most 639 digits (``poly._DIGITS``).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from string import ascii_letters, digits
 
-from .poly import Polynomial, PolySystem, Variable, _int_of_digits
+from .poly import _DIGITS, Polynomial, PolySystem, Variable, _int_of_digits
 
 _NAME_CHARS = ascii_letters + digits + "_"  # ASCII only, as Variable requires
 
@@ -126,6 +126,8 @@ class _LineParser:
             tok = self.peek()
             if tok.kind != "INT":
                 self.fail("exponent must be a non-negative integer literal", tok)
+            if len(tok.text) > _DIGITS:  # int() may refuse a longer one
+                self.fail("exponent too large", tok)
             self.advance()
             p = p ** int(tok.text)
         return -p if negate else p

@@ -9,6 +9,14 @@ fixed-step `_prem` that resultants in poly use too; the exact division of the
 squarefree part runs the same loop.  Signs at plus or minus infinity are
 read off leading coefficients and degree parity, never by evaluating at large
 numbers.
+
+The integer gcd of a and b first tries to prove them coprime from one image
+modulo the prime _P (Brown, JACM 18, 1971): if _P does not divide lc(a) and
+Euclid over GF(_P) ends in a constant, the gcd is 1.  This is exact: an
+integer common factor G has lc(G) | lc(a), so G mod _P keeps its degree and
+divides both images.  Otherwise the integer chain decides, so an unlucky
+prime costs time, never a wrong answer; a squarefree input to root counting
+builds its big-integer chain once, as the Sturm chain.
 """
 
 from __future__ import annotations
@@ -106,8 +114,31 @@ def _int_chain_step(a: list[int], b: list[int]) -> list[int]:
     return _pp_ints(_negated_prem(a, b))
 
 
+_P = 2**31 - 1  # a prime; the images in `_gcd_ints` are taken modulo it
+
+
+def _rem_mod_p(a: list[int], b: list[int]) -> list[int]:
+    """Remainder of a by b over GF(_P), by the loop of `_prem` with b monic."""
+    inv = pow(b[-1], -1, _P)
+    tail = [c * inv % _P for c in b[:-1]]
+    r = list(a)
+    for k in range(len(a) - len(b), -1, -1):
+        c = r.pop()
+        if c:
+            for i, bc in enumerate(tail, k):
+                r[i] = (r[i] - c * bc) % _P
+    return _trim(r)
+
+
 def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
-    g = _remainder_sequence(_pp_ints(a), _pp_ints(b), _int_chain_step)[-1]
+    """Primitive gcd with positive leading coefficient; [1] at once when the
+    images modulo _P prove the pair coprime (see the module docstring)."""
+    a, b = _pp_ints(a), _pp_ints(b)
+    if a and a[-1] % _P:
+        images = [_trim([c % _P for c in a]), _trim([c % _P for c in b])]
+        if len(_remainder_sequence(*images, _rem_mod_p)[-1]) == 1:
+            return [1]
+    g = _remainder_sequence(a, b, _int_chain_step)[-1]
     return g if not g or g[-1] > 0 else [-c for c in g]
 
 

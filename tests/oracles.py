@@ -2,13 +2,14 @@
 algorithms: the resultant is recomputed here as an explicit Sylvester-matrix
 determinant by division-free minor expansion, the graded-lex monomial order
 as a comparison of dense exponent vectors, the polynomial product by merging
-the exponents of every pair of terms, and the Sturm chain by plain rational
-long division."""
+the exponents of every pair of terms, and the Sturm chain and the integer
+gcd by plain rational long division."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from cadorder import Monomial, Polynomial, Variable
 
@@ -93,32 +94,47 @@ def sylvester_resultant(p: Polynomial, q: Polynomial, v: Variable) -> Polynomial
     return _determinant(tuple(tuple(r) for r in rows))
 
 
+def _trimmed(a: list) -> list:
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _remainder(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Remainder of Fraction long division of a by b (both low-to-high)."""
+    r = list(a)
+    while len(r) >= len(b):
+        q = r[-1] / b[-1]
+        shift = len(r) - len(b)
+        for i, c in enumerate(b):
+            r[shift + i] -= q * c
+        r = _trimmed(r[:-1])  # the leading term cancels exactly
+    return r
+
+
+def euclid_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Gcd of integer polynomials (low-to-high, not both zero) by the
+    Euclidean remainder chain over the rationals alone, returned primitive
+    with a positive leading coefficient; a constant gcd is [1]."""
+    r0, r1 = _trimmed([Fraction(c) for c in a]), _trimmed([Fraction(c) for c in b])
+    while r1:
+        r0, r1 = r1, _remainder(r0, r1)
+    denom = lcm(*(c.denominator for c in r0))
+    ints = [int(c * denom) for c in r0]
+    content = gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return [c // content for c in ints]
+
+
 def textbook_sturm(coeffs: list[Fraction]) -> list[list[Fraction]]:
     """Sturm chain of a nonzero polynomial given low-to-high: p, p', then
     each next member is minus the remainder of Fraction long division of
     the two before it, until that remainder is zero."""
-
-    def trimmed(a: list[Fraction]) -> list[Fraction]:
-        a = list(a)
-        while a and a[-1] == 0:
-            a.pop()
-        return a
-
-    def remainder(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-        r = list(a)
-        while len(r) >= len(b):
-            q = r[-1] / b[-1]
-            shift = len(r) - len(b)
-            for i, c in enumerate(b):
-                r[shift + i] -= q * c
-            r = trimmed(r[:-1])  # the leading term cancels exactly
-        return r
-
-    chain = [trimmed(coeffs), trimmed([i * c for i, c in enumerate(coeffs)][1:])]
+    chain = [_trimmed(coeffs), _trimmed([i * c for i, c in enumerate(coeffs)][1:])]
     if not chain[-1]:
         return chain[:1]
     while True:
-        r = remainder(chain[-2], chain[-1])
+        r = _remainder(chain[-2], chain[-1])
         if not r:
             return chain
         chain.append([-c for c in r])

@@ -98,6 +98,13 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err == f"cadorder: parse error: line 1, column 101: {bad}: parentheses nested deeper than 100\n"
 
+    def test_exponent_too_large_exit_2(self, tmp_path):
+        bad = tmp_path / "big_exponent.poly"
+        bad.write_text("x + y\nx^" + "1" * 5000 + "\n")
+        code, out, err = invoke(["analyze", str(bad)])
+        assert code == 2 and out == ""
+        assert err == f"cadorder: parse error: line 2, column 3: {bad}: exponent too large\n"
+
     def test_usage_error_exit_1(self, bivariate_file):
         code, _, err = invoke(["analyze", bivariate_file, "--heuristic", "nope"])
         assert code == 1 and "usage error" in err

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cadorder import Monomial, ParseError, Polynomial, PolySystem, Variable, parse_system, render
+from cadorder.poly import _DIGITS
 from conftest import random_polynomial
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
@@ -54,6 +55,19 @@ class TestParseSystem:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ParseError, match="exponent"):
             parse_system("x^-1")
+
+    def test_exponent_too_large(self):
+        # an exponent longer than poly._DIGITS is refused before int() reads it
+        long = "1" * (_DIGITS + 1)
+        with pytest.raises(ParseError) as info:
+            parse_system(f"x + 1\n  (x + 1)^{long} - 1")
+        assert (info.value.line, info.value.col, info.value.reason) == (2, 11, "exponent too large")
+        with pytest.raises(ParseError, match="exponent too large"):
+            parse_system("x^" + "1" * 5000)
+
+    def test_longest_exponent_literal(self):
+        longest = "0" * (_DIGITS - 1) + "3"
+        assert parse_system(f"x^{longest} + 2^{longest}").polynomials == (X**3 + 8,)
 
     def test_juxtaposition_is_not_multiplication(self):
         with pytest.raises(ParseError):

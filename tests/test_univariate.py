@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cadorder import (
     UnivariatePolynomial,
@@ -11,7 +13,8 @@ from cadorder import (
     sturm_sequence,
     univariate_gcd,
 )
-from cadorder.univariate import _exact_div_ints
+from cadorder.univariate import _P, _exact_div_ints, _gcd_ints
+from oracles import euclid_gcd
 
 x = Variable("x")
 
@@ -73,6 +76,72 @@ class TestSquarefree:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             squarefree_part(upoly())
+
+
+class TestCoprimeModP:
+    """The gcd proves a pair coprime from its images modulo _P; these inputs
+    must take the integer chain instead."""
+
+    def test_prime_divides_leading_coefficient(self):
+        # (P*x + 1)^2 (x - 2): modulo P it is x - 2, whose gcd with its
+        # derivative is a constant, yet the integer gcd is P*x + 1
+        factor, rest = upoly(1, _P), upoly(-2, 1)
+        p = _mul(_mul(factor, factor), rest)
+        assert univariate_gcd(p, p.derivative()) == factor
+        assert squarefree_part(p) == _mul(factor, rest)
+        assert count_distinct_real_roots(p) == 2
+
+    def test_unlucky_prime(self):
+        # modulo P the pair is x^2 and 2x, with gcd x; over the integers it is 1
+        p = upoly(_P, 0, 1)
+        assert univariate_gcd(p, upoly(0, 2)) == upoly(1)
+        assert univariate_gcd(upoly(0, 2), p) == upoly(1)
+        assert squarefree_part(p) == p
+        assert count_distinct_real_roots(p) == 0
+
+    def test_prime_divides_other_leading_coefficient(self):
+        # only lc of the first operand must be a unit modulo P
+        assert univariate_gcd(upoly(-2, 1), upoly(1, _P)) == upoly(1)
+        assert univariate_gcd(upoly(1, _P), upoly(-2, 1)) == upoly(1)
+        assert univariate_gcd(_mul(upoly(-2, 1), upoly(1, _P)), upoly(-2, 1)) == upoly(-2, 1)
+
+    def test_zero_and_constant_operands(self):
+        assert univariate_gcd(upoly(), upoly(3, -6)) == upoly(-1, 2)
+        assert univariate_gcd(upoly(3, -6), upoly()) == upoly(-1, 2)
+        assert univariate_gcd(upoly(_P), upoly(1, 1)) == upoly(1)
+        assert univariate_gcd(upoly(1, 1), upoly(_P)) == upoly(1)
+
+
+def _mul_ints(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return out
+
+
+# small coefficients, and multiples and neighbours of P, so that leading
+# coefficients divisible by P and unlucky images both turn up
+_COEFFICIENTS = st.one_of(
+    st.integers(-6, 6), st.sampled_from([_P, -_P, 2 * _P, _P + 1, _P - 1, _P * _P])
+)
+_FACTORS = st.lists(_COEFFICIENTS, min_size=1, max_size=5).filter(lambda f: f[-1] != 0)
+
+
+class TestGcdProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(shared=_FACTORS, a=_FACTORS, b=_FACTORS)
+    def test_matches_euclid_over_the_rationals(self, shared, a, b):
+        a, b = _mul_ints(shared, a), _mul_ints(shared, b)
+        assert _gcd_ints(a, b) == euclid_gcd(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=_FACTORS, b=_FACTORS)
+    def test_with_derivative(self, a, b):
+        p = _mul_ints(_mul_ints(a, a), b)
+        dp = [i * c for i, c in enumerate(p)][1:]
+        if any(dp):
+            assert _gcd_ints(p, dp) == euclid_gcd(p, dp)
 
 
 class TestExactDivInts:

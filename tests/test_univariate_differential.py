@@ -123,3 +123,45 @@ def test_sturm_sequence_of_constant_is_itself():
     p = upoly([Fraction(-7, 3)])
     assert sturm_sequence(p) == [p]
     assert textbook_sturm([Fraction(-7, 3)]) == [[Fraction(-7, 3)]]
+
+
+def dense(rng, degree):
+    """Low-to-high coefficients of a dense random polynomial with 32- to
+    64-bit coefficients, like the dense inputs of the roots benchmark pool;
+    squarefree with overwhelming probability, which sympy's sqf_part checks."""
+    bound = 2 ** rng.randint(32, 64)
+    return [rng.randint(-bound, bound) for _ in range(degree)] + [rng.choice([-1, 1]) * rng.randint(1, bound)]
+
+
+def real_rooted_quadratic(rng):
+    """(x - a)(b*x - c) with distinct rational roots a and c/b."""
+    a, b = rng.randint(-9, 9), rng.randint(2, 9)
+    c = rng.choice([c for c in range(-9, 10) if c != a * b])
+    return _mul([-a, 1], [-c, b])
+
+
+# (dense, squared factor) at the degrees of the roots pool; roots are counted
+# against sympy's continued-fraction isolation, `Poly.intervals`, because its
+# Sturm-based `count_roots` takes minutes at these sizes
+LARGE = [(dense(random.Random(500 + d), d), real_rooted_quadratic(random.Random(600 + d))) for d in (60, 80, 100)]
+
+
+@pytest.mark.parametrize("squared", [False, True], ids=["squarefree", "squared-factor"])
+@pytest.mark.parametrize("p, f", LARGE, ids=[f"degree-{len(p) - 1}" for p, _ in LARGE])
+def test_large_dense_inputs_match_sympy(p, f, squared):
+    coeffs = _mul(p, _mul(f, f)) if squared else p
+    expected_sf = primitive_positive(sympy.Poly(sympy.sqf_part(sym(coeffs).as_expr()), X))
+    assert expected_sf == primitive_positive(sym(_mul(p, f) if squared else p))
+    assert squarefree_part(upoly(coeffs)) == upoly(expected_sf)
+    assert count_distinct_real_roots(upoly(coeffs)) == len(sym(coeffs).intervals())
+
+
+@pytest.mark.parametrize("p, f", LARGE[:2], ids=["degree-60", "degree-80"])
+def test_large_dense_gcd_matches_sympy(p, f):
+    """A coprime pair, proved so modulo a prime, and the same pair times a
+    common factor, which takes the integer chain."""
+    q = dense(random.Random(len(p)), len(p) - 1)
+    assert univariate_gcd(upoly(p), upoly(q)) == upoly([1])
+    assert primitive_positive(sympy.gcd(sym(p), sym(q))) == [1]
+    pf, qf = _mul(p, f), _mul(q, f)
+    assert univariate_gcd(upoly(pf), upoly(qf)) == upoly(primitive_positive(sympy.gcd(sym(pf), sym(qf))))
