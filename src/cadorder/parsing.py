@@ -5,17 +5,24 @@ polynomial per line in infix notation with ``+ - * ^``, parentheses,
 non-negative integer literals and identifiers, both ASCII only.  ``#`` starts
 a comment, blank lines are ignored, and juxtaposition is not multiplication
 (an explicit ``*`` is required).  ``^`` takes a non-negative integer literal
-exponent of at most 639 digits (``poly._DIGITS``).
+exponent of at most 639 digits (``poly._DIGITS``).  A line is split into
+tokens by one ASCII regular expression; spaces and tabs separate them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from string import ascii_letters, digits
+import re
+from dataclasses import replace
+from typing import NamedTuple
 
 from .poly import _DIGITS, Polynomial, PolySystem, Variable, _int_of_digits
 
-_NAME_CHARS = ascii_letters + digits + "_"  # ASCII only, as Variable requires
+# Blanks, then one token: an integer, a name (ASCII only, as Variable
+# requires), an operator, the end of the line or any other character.
+_TOKEN = re.compile(
+    r"[ \t]*(?:(?P<INT>[0-9]+)|(?P<NAME>[A-Za-z0-9_]+)|(?P<OP>[-+*^()])|(?P<END>\Z)|(?P<BAD>.))",
+    re.DOTALL,
+)
 
 # Each level of parentheses costs the recursive-descent parser four stack
 # frames; this many levels stay well inside Python's default recursion limit.
@@ -32,8 +39,7 @@ class ParseError(ValueError):
         self.reason = message
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NAME, INT, one of + - * ^ ( ), or END
     text: str
     col: int  # 1-based
@@ -41,33 +47,14 @@ class _Token:
 
 def _tokenize(line: str, lineno: int) -> list[_Token]:
     tokens = []
-    i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if ch in " \t\r":
-            i += 1
-            continue
-        col = i + 1
-        if ch in digits:
-            j = i
-            while j < n and line[j] in digits:
-                j += 1
-            tokens.append(_Token("INT", line[i:j], col))
-            i = j
-        elif ch in _NAME_CHARS:
-            j = i
-            while j < n and line[j] in _NAME_CHARS:
-                j += 1
-            tokens.append(_Token("NAME", line[i:j], col))
-            i = j
-        elif ch in "+-*^()":
-            tokens.append(_Token(ch, ch, col))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", lineno, col)
-    tokens.append(_Token("END", "", n + 1))
-    return tokens
+    for m in _TOKEN.finditer(line):  # every position matches: no gaps
+        kind = m.lastgroup
+        text, col = m[kind], m.start(kind) + 1
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {text!r}", lineno, col)
+        tokens.append(_Token(text if kind == "OP" else kind, text, col))
+        if kind == "END":
+            return tokens
 
 
 class _LineParser:

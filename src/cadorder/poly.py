@@ -36,7 +36,6 @@ import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from heapq import heapify, heappop, heappush
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -106,24 +105,10 @@ class Monomial(tuple):
             return other
         if not other:
             return self
-        out = []
-        i = j = 0
-        while i < len(self) and j < len(other):
-            va, ea = self[i]
-            vb, eb = other[j]
-            if va == vb:
-                out.append((va, ea + eb))
-                i += 1
-                j += 1
-            elif va < vb:
-                out.append(self[i])
-                i += 1
-            else:
-                out.append(other[j])
-                j += 1
-        out.extend(self[i:])
-        out.extend(other[j:])
-        return tuple.__new__(Monomial, out)  # already sorted, positive, unique
+        summed = dict(self)
+        for v, e in other:
+            summed[v] = summed.get(v, 0) + e
+        return tuple.__new__(Monomial, sorted(summed.items()))
 
     def without(self, v: Variable) -> "Monomial":
         return tuple.__new__(Monomial, [(w, e) for w, e in self if w != v])
@@ -201,7 +186,7 @@ class Polynomial:
         return not self._terms
 
     def is_constant(self) -> bool:
-        return all(m.total_degree == 0 for m in self._terms)
+        return all(not m for m in self._terms)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polynomial) and self._terms == other._terms
@@ -266,10 +251,14 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
-        if n < 2:
-            return self if n else Polynomial.constant(1)
-        half = self ** (n // 2)  # squares only while bits of n remain
-        return half * half * self if n & 1 else half * half
+        if not n:
+            return Polynomial.constant(1)
+        out = self
+        for bit in f"{n:b}"[1:]:  # squares only while bits of n remain
+            out = out * out
+            if bit == "1":
+                out = out * self
+        return out
 
     # -- structure ---------------------------------------------------------
 
@@ -310,7 +299,7 @@ class Polynomial:
 
     def content(self) -> int:
         """Gcd of the absolute coefficient values; 0 for the zero polynomial."""
-        return reduce(math.gcd, (abs(c) for c in self._terms.values()), 0)
+        return math.gcd(*self._terms.values())
 
     # -- rendering ---------------------------------------------------------
 

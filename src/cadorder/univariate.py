@@ -8,11 +8,13 @@ chain are one remainder sequence over one pseudo-remainder kernel, the
 fixed-step `_prem` that resultants in poly use too; the exact division of the
 squarefree part runs the same loop.  Signs at plus or minus infinity are
 read off leading coefficients and degree parity, never by evaluating at large
-numbers.
+numbers; no chain member is zero, so the sign changes are counted between
+neighbours.
 
 The integer gcd of a and b first tries to prove them coprime from one image
 modulo the prime _P (Brown, JACM 18, 1971): if _P does not divide lc(a) and
-Euclid over GF(_P) ends in a constant, the gcd is 1.  This is exact: an
+Euclid over GF(_P) ends in a constant, the gcd is 1; each of its remainders
+is `_prem` by the monic image of the divisor, reduced.  This is exact: an
 integer common factor G has lc(G) | lc(a), so G mod _P keeps its degree and
 divides both images.  Otherwise the integer chain decides, so an unlucky
 prime costs time, never a wrong answer; a squarefree input to root counting
@@ -118,16 +120,10 @@ _P = 2**31 - 1  # a prime; the images in `_gcd_ints` are taken modulo it
 
 
 def _rem_mod_p(a: list[int], b: list[int]) -> list[int]:
-    """Remainder of a by b over GF(_P), by the loop of `_prem` with b monic."""
+    """Remainder of a by b over GF(_P): `_prem` by the monic image of b,
+    reduced modulo _P.  The remainder by a monic divisor is unique."""
     inv = pow(b[-1], -1, _P)
-    tail = [c * inv % _P for c in b[:-1]]
-    r = list(a)
-    for k in range(len(a) - len(b), -1, -1):
-        c = r.pop()
-        if c:
-            for i, bc in enumerate(tail, k):
-                r[i] = (r[i] - c * bc) % _P
-    return _trim(r)
+    return _trim([c % _P for c in _prem(a, [c * inv % _P for c in b])])
 
 
 def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
@@ -197,11 +193,6 @@ def sturm_sequence(p: UnivariatePolynomial) -> list[UnivariatePolynomial]:
     return [UnivariatePolynomial.make(p.variable, s) for s in chain]
 
 
-def _sign_variations(signs: list[int]) -> int:
-    nonzero = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a * b < 0)
-
-
 def count_distinct_real_roots(p: UnivariatePolynomial) -> int:
     """Number of distinct real roots, by Sturm's theorem on the squarefree part."""
     if p.is_zero():
@@ -210,11 +201,10 @@ def count_distinct_real_roots(p: UnivariatePolynomial) -> int:
         return 0
     sf = _int_coeffs(squarefree_part(p))
     # Integer Sturm chain; members are scaled by positive factors only, so
-    # sign variations match the canonical chain exactly.
+    # sign variations match the canonical chain exactly.  No member is zero:
+    # a sign is "positive", flipped at minus infinity for an odd degree.
     chain = _remainder_sequence(sf, _pp_ints(_derivative(sf)), _int_chain_step)
-    at_pos = [1 if s[-1] > 0 else -1 for s in chain]
-    at_neg = [
-        sign if (len(s) - 1) % 2 == 0 else -sign
-        for sign, s in zip(at_pos, chain)
-    ]
-    return _sign_variations(at_neg) - _sign_variations(at_pos)
+    at_pos = [s[-1] > 0 for s in chain]
+    at_neg = [pos ^ (len(s) % 2 == 0) for pos, s in zip(at_pos, chain)]
+    return (sum(a != b for a, b in zip(at_neg, at_neg[1:]))
+            - sum(a != b for a, b in zip(at_pos, at_pos[1:])))

@@ -105,6 +105,14 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err == f"cadorder: parse error: line 2, column 3: {bad}: exponent too large\n"
 
+    def test_exponent_of_400_digits(self, tmp_path):
+        big, plain = tmp_path / "big.poly", tmp_path / "plain.poly"
+        big.write_text("x + 1^" + "9" * 400 + "\n")
+        plain.write_text("x + 1\n")
+        code, out, err = invoke(["analyze", str(big)])
+        assert (code, err) == (0, "")
+        assert out == invoke(["analyze", str(plain)])[1]
+
     def test_usage_error_exit_1(self, bivariate_file):
         code, _, err = invoke(["analyze", bivariate_file, "--heuristic", "nope"])
         assert code == 1 and "usage error" in err

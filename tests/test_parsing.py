@@ -106,6 +106,20 @@ class TestParseSystem:
             parse_system("x + 1\n" + text)
         assert (info.value.line, info.value.col) == (2, col)
 
+    @pytest.mark.parametrize(
+        "text, col, message",
+        [("2x", 2, "unexpected token 'x'"), ("x +\t@", 5, "unexpected character '@'")],
+        ids=["int-then-name", "tab-then-character"],
+    )
+    def test_token_errors(self, text, col, message):
+        with pytest.raises(ParseError) as info:
+            parse_system(text)
+        assert (info.value.line, info.value.col, info.value.reason) == (1, col, message)
+
+    def test_tokens_around_tabs_and_underscores(self):
+        assert parse_system("x\t^ 2 ").polynomials == (X**2,)
+        assert parse_system("x_1^2").polynomials == (Polynomial.variable(Variable("x_1")) ** 2,)
+
     def test_unary_minus_and_parentheses(self):
         system = parse_system("-(x - 2)*(x + 3)")
         assert system.polynomials == (-(X - 2) * (X + 3),)

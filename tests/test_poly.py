@@ -56,6 +56,10 @@ class TestPower:
             expected = expected * p
         assert got == expected
 
+    def test_exponent_of_any_length(self):
+        # one square per bit of n, in a loop: no recursion depth to exceed
+        assert Polynomial.constant(1) ** (10**400 - 1) == Polynomial.constant(1)
+
 
 class TestValueSemantics:
     def test_variable_is_its_name(self):

@@ -2,7 +2,9 @@
 sturm_sequence against the textbook long-division oracle, on random sparse
 integer polynomials with repeated factors, gaps in degree and negative
 leading coefficients.  A gap in degree is where the pseudo-remainder's
-leftover lc(b)**e factor enters the integer chains."""
+leftover lc(b)**e factor enters the integer chains.  The remainder over
+GF(_P) that proves a pair coprime is checked against sympy's modular
+remainder."""
 
 import random
 from fractions import Fraction
@@ -17,6 +19,7 @@ from cadorder import (
     sturm_sequence,
     univariate_gcd,
 )
+from cadorder.univariate import _P, _rem_mod_p
 from oracles import textbook_sturm
 
 sympy = pytest.importorskip("sympy")
@@ -165,3 +168,33 @@ def test_large_dense_gcd_matches_sympy(p, f):
     assert primitive_positive(sympy.gcd(sym(p), sym(q))) == [1]
     pf, qf = _mul(p, f), _mul(q, f)
     assert univariate_gcd(upoly(pf), upoly(qf)) == upoly(primitive_positive(sympy.gcd(sym(pf), sym(qf))))
+
+
+def near_multiple_of_p(rng):
+    """Any residue, or an integer within 2 of a multiple of _P, zero included."""
+    if rng.random() < 0.5:
+        return rng.randrange(_P)
+    return rng.choice([0, 1, 3, 2**40]) * _P + rng.randint(-2, 2)
+
+
+def mod_p_operand(rng, degree):
+    """Low-to-high coefficients with a leading coefficient that _P does not divide."""
+    lc = near_multiple_of_p(rng)
+    while not lc % _P:
+        lc = near_multiple_of_p(rng)
+    return [near_multiple_of_p(rng) for _ in range(degree)] + [lc]
+
+
+# (deg a, deg b): degree gaps from 0 to 100, and deg a < deg b
+MOD_P_DEGREES = [(db + gap, db) for gap in (0, 1, 2, 3, 7, 20, 50, 100) for db in (0, 1, 6)] + [(2, 5), (0, 3)]
+
+
+@pytest.mark.parametrize("seed, da, db", [(i, da, db) for i, (da, db) in enumerate(MOD_P_DEGREES)])
+def test_remainder_mod_p_matches_sympy(seed, da, db):
+    rng = random.Random(700 + seed)
+    a, b = mod_p_operand(rng, da), mod_p_operand(rng, db)
+    mod_p = [sympy.Poly(list(reversed(c)), X, modulus=_P) for c in (a, b)]
+    expected = [int(c) % _P for c in reversed(mod_p[0].rem(mod_p[1]).all_coeffs())]
+    while expected and not expected[-1]:
+        expected.pop()
+    assert _rem_mod_p(a, b) == expected
