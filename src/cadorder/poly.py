@@ -417,21 +417,27 @@ def _trim(coeffs: list) -> list:
     return coeffs
 
 
-def _prem(a: list, b: list) -> list:
+def _prem(a: list, b: list, modulus: int | None = None) -> list:
     """Pseudo-remainder of dense coefficient lists: lc(b)^(da-db+1) * a mod b,
     by fixed-step pseudo-division (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R):
     each of da - db + 1 steps pops the leading coefficient, scales the rest
-    by lc(b) and subtracts the popped one times x^k * b[:-1].  Coefficients
-    may be Polynomials (resultants), ints or Fractions (gcd, Sturm chains)."""
+    by lc(b), unless lc(b) == 1, and subtracts the popped one times
+    x^k * b[:-1].  Coefficients may be Polynomials (resultants), ints or
+    Fractions (gcd, Sturm chains).  With a modulus the popped coefficient is
+    reduced at every step and the remainder at the end, so by a monic b this
+    is the remainder over GF(modulus)."""
     lc, tail = b[-1], b[:-1]
     r = list(a)
     for k in range(len(a) - len(b), -1, -1):
         lcr = r.pop()
-        r = [lc * c for c in r]
+        if modulus:
+            lcr %= modulus
+        if lc != 1:
+            r = [lc * c for c in r]
         if lcr:
             for i, bc in enumerate(tail, k):
                 r[i] -= lcr * bc
-    return _trim(r)
+    return _trim([c % modulus for c in r] if modulus else r)
 
 
 def resultant(p: Polynomial, q: Polynomial, v: Variable) -> Polynomial:

@@ -1,11 +1,22 @@
 """Shared helpers for the test suite: random polynomial generators and a
-variable-renaming utility used by the equivariance checks."""
+variable-renaming utility used by the equivariance checks.
+
+With the CI environment variable set, Hypothesis runs the ``ci`` profile:
+derandomized, and printing a reproduction blob for every failure, so a
+failing property reproduces from the log alone."""
 
 from __future__ import annotations
 
+import os
 import random
 
+from hypothesis import settings
+
 from cadorder import Monomial, Polynomial, PolySystem, Variable
+
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def random_polynomial(

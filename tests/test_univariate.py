@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,9 @@ from cadorder import (
     sturm_sequence,
     univariate_gcd,
 )
-from cadorder.univariate import _P, _exact_div_ints, _gcd_ints
+from cadorder.univariate import (
+    _P, _descartes, _exact_div_ints, _gcd_ints, _int_coeffs, _primes, _race, _sturm,
+)
 from oracles import euclid_gcd
 
 x = Variable("x")
@@ -258,3 +262,112 @@ class TestRootCounting:
                 - len(a & b)
             )
             assert count_distinct_real_roots(_mul(p, q)) == expected
+
+
+class TestModularGcd:
+    def test_gcd_above_the_modulus(self):
+        # coefficients past 2^31: one image cannot hold them, CRT needs two primes
+        g = [-(2**45 + 7), 2**33 - 5, 2**40 + 3]
+        a, b = _mul_ints(g, [2, 1]), _mul_ints(g, [-1, 0, 3])
+        assert _gcd_ints(a, b) == g
+        assert _gcd_ints(_mul_ints(a, [5]), [-c for c in b]) == g
+
+    def test_unlucky_primes_in_a_row(self):
+        # modulo each of the first two primes the pair is x^2 and 2x, with gcd
+        # x; the images agree, yet over the integers the gcd is 1
+        first, second = islice(_primes(), 2)
+        assert _gcd_ints([first * second, 0, 1], [0, 2]) == [1]
+
+    def test_primes_descend_from_p(self):
+        primes = list(islice(_primes(), 40))
+        assert primes[0] == _P and primes == sorted(set(primes), reverse=True)
+        assert all(pow(2, p - 1, p) == 1 for p in primes)
+
+
+def sturm_oracle(p):
+    """Distinct real roots from the sign variations of the textbook Sturm
+    chain of the squarefree part, at minus and plus infinity."""
+    chain = sturm_sequence(squarefree_part(p))
+    at_pos = [s.leading_coefficient > 0 for s in chain]
+    at_neg = [pos ^ (s.degree % 2 == 1) for pos, s in zip(at_pos, chain)]
+    return sum(map(bool.__ne__, at_neg, at_neg[1:])) - sum(map(bool.__ne__, at_pos, at_pos[1:]))
+
+
+def alone(method, p):
+    """One side of the race, run to the end on the squarefree part of p."""
+    return _race(method(_int_coeffs(squarefree_part(p))))
+
+
+def tagged(method, tag):
+    return tag, (yield from method)
+
+
+def mignotte(d, a):
+    """x^d - 2(a*x - 1)^2: two roots within about a^-(d/2) of 1/a."""
+    return upoly(-2, 4 * a, -2 * a * a, *[0] * (d - 3), 1)
+
+
+def dyadic(k, m):
+    """2^k x - m, whose root m / 2^k lies on a bisection midpoint."""
+    return upoly(-m, 2**k)
+
+
+_DYADIC = st.tuples(st.integers(0, 10), st.integers(-64, 64))
+
+
+@st.composite
+def dyadic_products(draw):
+    factors = [dyadic(k, m) for k, m in draw(st.lists(_DYADIC, max_size=6))]
+    for k, m in draw(st.lists(_DYADIC, max_size=2)):  # clustered pairs
+        factors += [dyadic(k, m), dyadic(k, m + 1)]
+    for k, m in draw(st.lists(_DYADIC, max_size=2)):  # squared factors
+        factors += [dyadic(k, m)] * 2
+    if draw(st.booleans()):
+        factors.append(upoly(0, 1))
+    if draw(st.booleans()):
+        factors.append(upoly(draw(st.integers(1, 9)), 0, 1))  # no real roots
+    p = upoly(1)
+    for f in factors:
+        p = _mul(p, f)
+    if draw(st.booleans()):  # x -> -x
+        p = upoly(*(-c if i % 2 else c for i, c in enumerate(p.coefficients)))
+    return p
+
+
+class TestRootCountRace:
+    @settings(max_examples=300, deadline=None)
+    @given(p=dyadic_products())
+    def test_both_sides_match_the_sturm_oracle(self, p):
+        if p.degree < 1:
+            return
+        expected = sturm_oracle(p)
+        assert alone(_descartes, p) == expected
+        assert alone(_sturm, p) == expected
+        assert count_distinct_real_roots(p) == expected
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 5, 8, 20])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_root_near_the_bound(self, j, sign):
+        # (x - m)(x^2 + 1), m = 2^j - 1: the bound is 2^j, half of it below m
+        p = _mul(upoly(-sign * (2**j - 1), 1), upoly(1, 0, 1))
+        assert alone(_descartes, p) == alone(_sturm, p) == 1
+
+    @pytest.mark.parametrize("d", [20, 40, 60, 80, 100])
+    @pytest.mark.parametrize("a", [10, 10**3, 10**6])
+    def test_mignotte_in_fixed_time(self, d, a):
+        p = mignotte(d, a)
+        times = []
+        for _ in range(3):
+            start = time.process_time()
+            assert count_distinct_real_roots(p) == 4
+            times.append(time.process_time() - start)
+        assert min(times) < 0.05
+
+    def test_each_side_wins_somewhere(self):
+        rng = random.Random(80)
+        dense = upoly(*(rng.randint(-(2**63), 2**63) for _ in range(80)), 2**63)
+        for p, winner in ((dense, "descartes"), (mignotte(20, 10), "sturm")):
+            sf = _int_coeffs(squarefree_part(p))
+            count = alone(_descartes, p)
+            assert alone(_sturm, p) == count
+            assert _race(tagged(_descartes(sf), "descartes"), tagged(_sturm(sf), "sturm")) == (winner, count)

@@ -3,8 +3,8 @@ sturm_sequence against the textbook long-division oracle, on random sparse
 integer polynomials with repeated factors, gaps in degree and negative
 leading coefficients.  A gap in degree is where the pseudo-remainder's
 leftover lc(b)**e factor enters the integer chains.  The remainder over
-GF(_P) that proves a pair coprime is checked against sympy's modular
-remainder."""
+GF(_P) of the modular gcd, `_prem` by a monic image with a modulus, is
+checked against sympy's modular remainder."""
 
 import random
 from fractions import Fraction
@@ -19,7 +19,8 @@ from cadorder import (
     sturm_sequence,
     univariate_gcd,
 )
-from cadorder.univariate import _P, _rem_mod_p
+from cadorder.poly import _prem
+from cadorder.univariate import _P
 from oracles import textbook_sturm
 
 sympy = pytest.importorskip("sympy")
@@ -162,7 +163,7 @@ def test_large_dense_inputs_match_sympy(p, f, squared):
 @pytest.mark.parametrize("p, f", LARGE[:2], ids=["degree-60", "degree-80"])
 def test_large_dense_gcd_matches_sympy(p, f):
     """A coprime pair, proved so modulo a prime, and the same pair times a
-    common factor, which takes the integer chain."""
+    common factor, whose gcd the small-primes loop finds."""
     q = dense(random.Random(len(p)), len(p) - 1)
     assert univariate_gcd(upoly(p), upoly(q)) == upoly([1])
     assert primitive_positive(sympy.gcd(sym(p), sym(q))) == [1]
@@ -197,4 +198,5 @@ def test_remainder_mod_p_matches_sympy(seed, da, db):
     expected = [int(c) % _P for c in reversed(mod_p[0].rem(mod_p[1]).all_coeffs())]
     while expected and not expected[-1]:
         expected.pop()
-    assert _rem_mod_p(a, b) == expected
+    inv = pow(b[-1], -1, _P)
+    assert _prem(a, [c * inv % _P for c in b], modulus=_P) == expected
