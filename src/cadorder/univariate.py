@@ -37,8 +37,8 @@ Python 3.11:
 - a Taylor shift of degree d, largest coefficient of s bits:
   2800 + 390 d + d(d + 1)/2 (44 + 1.35 (s + d)/64), charged twice on a split;
 - a Sturm step from a to b, of lengths la and lb and bit lengths sa and sb:
-  3700 + lb (850 + 5.5 wr^2), where wr = (sa + (la - lb + 1) sb)/64 is the
-  word length of the pseudo-remainder's coefficients.
+  4750 + lb (105 + 208 wr + 5 wr^2), where wr = (sa + (la - lb + 1) sb)/64
+  is the word length of the pseudo-remainder's coefficients.
 """
 
 from __future__ import annotations
@@ -272,7 +272,7 @@ def _sturm(f: list[int]):
         lcs.append((b[-1] > 0, len(b)))
         lb, sb = len(b), _bits(b)
         wr = (sa + (len(a) - lb + 1) * sb) / 64
-        yield 3700 + lb * (850 + 5.5 * wr * wr)
+        yield 4750 + lb * (105 + 208 * wr + 5 * wr * wr)
         a, b, sa = b, _pp_ints(_negated_prem(a, b)), sb
     return (_sign_changes([pos ^ (n % 2 == 0) for pos, n in lcs])
             - _sign_changes([pos for pos, _ in lcs]))
