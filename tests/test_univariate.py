@@ -278,11 +278,6 @@ class TestModularGcd:
         first, second = islice(_primes(), 2)
         assert _gcd_ints([first * second, 0, 1], [0, 2]) == [1]
 
-    def test_primes_descend_from_p(self):
-        primes = list(islice(_primes(), 40))
-        assert primes[0] == _P and primes == sorted(set(primes), reverse=True)
-        assert all(pow(2, p - 1, p) == 1 for p in primes)
-
 
 def sturm_oracle(p):
     """Distinct real roots from the sign variations of the textbook Sturm
@@ -299,6 +294,7 @@ def alone(method, p):
 
 
 def tagged(method, tag):
+    """The method as a race side whose value is (tag, the method's value)."""
     return tag, (yield from method)
 
 

@@ -4,10 +4,11 @@ integer polynomials with repeated factors, gaps in degree and negative
 leading coefficients.  A gap in degree is where the pseudo-remainder's
 leftover lc(b)**e factor enters the integer chains.  The remainder over
 GF(_P) of the modular gcd, `_prem` by a monic image with a modulus, is
-checked against sympy's modular remainder."""
+checked against sympy's modular remainder, and its primes against sympy's."""
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -20,7 +21,7 @@ from cadorder import (
     univariate_gcd,
 )
 from cadorder.poly import _prem
-from cadorder.univariate import _P
+from cadorder.univariate import _P, _primes
 from oracles import textbook_sturm
 
 sympy = pytest.importorskip("sympy")
@@ -200,3 +201,10 @@ def test_remainder_mod_p_matches_sympy(seed, da, db):
         expected.pop()
     inv = pow(b[-1], -1, _P)
     assert _prem(a, [c * inv % _P for c in b], modulus=_P) == expected
+
+
+def test_primes_are_the_primes_below_p():
+    primes = [_P]
+    while len(primes) < 60:
+        primes.append(sympy.prevprime(primes[-1]))
+    assert list(islice(_primes(), 60)) == primes
