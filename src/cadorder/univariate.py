@@ -194,12 +194,20 @@ def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd with positive leading coefficient, by small primes (see
-    the module docstring)."""
+    """Primitive gcd with positive leading coefficient."""
+    return _gcd_cofactor(a, b)[0]
+
+
+def _gcd_cofactor(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(g, pp(a) / g) for g the primitive gcd with positive leading
+    coefficient, by small primes (see the module docstring); the quotient is
+    the one that proves g."""
     a, b = _pp_ints(a), _pp_ints(b)
     if len(a) < 2 or len(b) < 2:  # a zero or constant operand
         g = [1] if a and b else a or b
-        return g if not g or g[-1] > 0 else [-c for c in g]
+        if g and g[-1] < 0:
+            g = [-c for c in g]
+        return g, _exact_div_ints(a, g) if g else []
     lcg, lclc = gcd(a[-1], b[-1]), a[-1] * b[-1]
     size, m, image = min(len(a), len(b)) + 1, 1, []
     for p in _primes():
@@ -207,7 +215,7 @@ def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
             continue
         h = _gcd_mod(a, b, p)
         if len(h) == 1:
-            return [1]
+            return [1], a
         if len(h) < size:  # every earlier image was unlucky
             size, m, image = len(h), 1, [0] * len(h)
         elif len(h) > size:  # this one is
@@ -217,10 +225,10 @@ def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
         m *= p
         g = _pp_ints([c - m if 2 * c > m else c for c in image])
         try:
-            _exact_div_ints(a, g), _exact_div_ints(b, g)
-            return g if g[-1] > 0 else [-c for c in g]
+            q, _ = _exact_div_ints(a, g), _exact_div_ints(b, g)
         except ArithmeticError:
-            pass
+            continue
+        return (g, q) if g[-1] > 0 else ([-c for c in g], [-c for c in q])
 
 
 def univariate_gcd(p: UnivariatePolynomial, q: UnivariatePolynomial) -> UnivariatePolynomial:
@@ -236,7 +244,7 @@ def squarefree_part(p: UnivariatePolynomial) -> UnivariatePolynomial:
     if p.is_zero():
         raise ValueError("zero polynomial")
     a = _pp_ints(_int_coeffs(p))
-    sf = _exact_div_ints(a, _gcd_ints(a, _derivative(a)))
+    _, sf = _gcd_cofactor(a, _derivative(a))
     if sf[-1] < 0:
         sf = [-c for c in sf]
     return UnivariatePolynomial.make(p.variable, sf)

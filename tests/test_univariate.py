@@ -16,7 +16,8 @@ from cadorder import (
     univariate_gcd,
 )
 from cadorder.univariate import (
-    _P, _descartes, _exact_div_ints, _gcd_ints, _int_coeffs, _primes, _race, _sturm,
+    _P, _descartes, _exact_div_ints, _gcd_cofactor, _gcd_ints, _int_coeffs, _pp_ints, _primes,
+    _race, _sturm,
 )
 from oracles import euclid_gcd
 
@@ -277,6 +278,19 @@ class TestModularGcd:
         # x; the images agree, yet over the integers the gcd is 1
         first, second = islice(_primes(), 2)
         assert _gcd_ints([first * second, 0, 1], [0, 2]) == [1]
+
+    @pytest.mark.parametrize("a, b", [
+        ([-6, 4, 2], [-2, 2]),  # gcd x - 1, cofactor of pp(a) x + 3
+        ([6, -4, -2], [3, -3]),  # negative lc(a): the cofactor keeps pp(a)'s sign
+        ([3, 0, 1], [0, 2]),  # coprime
+        ([4, 2], [7]),  # a constant operand
+        ([4, -2], []),  # a zero operand: the gcd is pp(a)
+        ([], [1, 1]),
+    ])
+    def test_cofactor_is_the_proving_quotient(self, a, b):
+        g, q = _gcd_cofactor(a, b)
+        assert g == _gcd_ints(a, b)
+        assert (_mul_ints(g, q) if q else []) == _pp_ints(a)
 
 
 def sturm_oracle(p):
