@@ -541,7 +541,7 @@ def _prem(a: list, b: list, modulus: int | None = None) -> list:
     a monic b this is the remainder over GF(modulus)."""
     lc, tail = b[-1], b[:-1]
     if isinstance(lc, Polynomial):
-        terms = sum([len(c.terms) for c in a]) + sum([len(c.terms) for c in b])
+        terms = sum([len(c._terms) for c in a]) + sum([len(c._terms) for c in b])
         if terms > _LOOP_MAX_TERMS:
             r = _kronecker_prem(a, b, _KRONECKER_SLOTS_PER_TERM * terms)
             if r is not None:

@@ -17,7 +17,8 @@ degree 0 proves a and b coprime, and an image of more than the least degree
 seen is unlucky and dropped.  The images of least degree are combined by the
 Chinese remainder theorem in the symmetric range, and the primitive part is
 returned once `_exact_div_ints` divides both a and b by it, which makes it
-+-G.  An unlucky prime costs time, never a wrong answer.
++-G; the squarefree part is that division's quotient of p by gcd(p, p').  An
+unlucky prime costs time, never a wrong answer.
 
 Root counting races two exact methods on the squarefree part and returns the
 first count: Descartes bisection (Collins & Akritas 1976; Rouillier &

@@ -32,7 +32,7 @@ sympy = pytest.importorskip("sympy")
 
 X = sympy.Symbol("x")
 OTHERS = [Variable("y"), Variable("z")]
-SYMBOLS = {v: sympy.Symbol(v) for v in OTHERS}
+SYMBOLS = {v: sympy.Symbol(v) for v in [*OTHERS, Variable("w")]}
 
 
 def coefficient_to_sympy(c):
@@ -135,8 +135,7 @@ class TestAgainstSympy:
         assert_matches_sympy(a, b)
 
 
-Y, Z, W = (Polynomial.variable(v) for v in [*OTHERS, Variable("w")])
-SYMBOLS[Variable("w")] = sympy.Symbol("w")
+Y, Z, W = (Polynomial.variable(v) for v in SYMBOLS)
 ONE = Polynomial.constant(1)
 ZERO = Polynomial.zero()
 
@@ -177,17 +176,18 @@ class TestKroneckerPath:
         assert_matches_sympy(*large)
         assert calls == [_KRONECKER_SLOTS_PER_TERM * terms(*large)]
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    @pytest.mark.parametrize("bits", [7, 8, 15, 16, 63, 64])
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_coefficient_at_the_slot_bound(self, k, sign):
+    def test_coefficient_at_the_slot_bound(self, bits, sign):
         # one step of a = -+R (y x + y) by b = N x - M puts all of
-        # R0 * L = R (N + M) on one slot: bits(R) + bits(L) = 8k - 1 bits,
-        # and a slot of k bytes holds magnitudes below 2^(8k - 1)
-        r, n = 2**(4 * k) - 1, 2**(4 * k - 2)
-        m = 2**(4 * k - 1) - 1 - n
-        assert r.bit_length() + (n + m).bit_length() == 8 * k - 1
-        a, b = [-sign * r * Y, -sign * r * Y], [Polynomial.constant(-m), Polynomial.constant(n)]
-        assert _kronecker_prem(a, b) == [-sign * r * (n + m) * Y]
+        # R0 * L = R (N + M) on one slot; with R and L all ones in binary it
+        # has bits(R) + bits(L) bits, and the slot needs one more for the sign
+        r, l = 2 ** (bits // 2) - 1, 2 ** (bits - bits // 2) - 1
+        n = 2 ** (bits - bits // 2 - 1)
+        assert (r * l).bit_length() == r.bit_length() + l.bit_length() == bits
+        a = [-sign * r * Y, -sign * r * Y]
+        b = [Polynomial.constant(n - l), Polynomial.constant(n)]
+        assert _kronecker_prem(a, b) == [-sign * r * l * Y]
         assert_matches_sympy(a, b, _kronecker_prem)
 
     @pytest.mark.parametrize("top", [-1, -7, -(2**64), -(2**64) + 1])
