@@ -35,11 +35,11 @@ x_j = 2^(w s_j), where s_j is x_j's stride in a dense degree box and w is
 the slot width in bits.  The loop of ``_prem`` runs on those ints, and each
 int of the remainder is read back slot by slot.  Substitution is a ring
 homomorphism, so no intermediate value can overflow; only the remainder has
-to fit, and with steps = deg a - deg b + 1 it does:
+to fit, and with steps = len(a) - len(b) + 1 it does:
 
-- the box has max(deg a, deg b) + steps * deg b + 1 slots per variable,
-  because each step r <- lc(b) r - lc(r) x^k b raises a degree by at most
-  deg b;
+- the box has max(deg_v a, deg_v b) + steps * deg_v b + 1 slots for each v,
+  deg_v the largest degree in v of a list's coefficients, because each step
+  r <- lc(b) r - lc(r) x^k b raises deg_v r by at most deg_v b;
 - w >= bits(R0) + steps * bits(L) + 1, rounded up to whole bytes, where R0 is
   the largest 1-norm of a's coefficients and L = |lc b|_1 + max |b_j|_1 over
   j below the top: that step multiplies the largest 1-norm in r by at most L,
