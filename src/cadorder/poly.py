@@ -9,6 +9,13 @@ integer ring throughout.  Its pseudo-remainders come from ``_prem``, the one
 fixed-step pseudo-division on dense coefficient lists, which the univariate
 chains share.
 
+No stored coefficient is ever 0.  ``Polynomial(terms)`` drops zeros from any
+mapping; ``_from_terms`` takes as it is a dict that has none by construction,
+from negation, scaling by a nonzero int or constant, the packed product,
+``coefficients_wrt``, ``derivative``, ``canonicalize``, ``exact_div`` and
+Kronecker read-back.
+``str(p)``, like the hash, is computed on first use and kept.
+
 ``Monomial`` is the only monomial type outside this module.  Inside it, a
 product with many term pairs and an exact division by a non-constant
 polynomial work on packed integer keys, one per monomial, made once per call
@@ -140,9 +147,6 @@ class Monomial(tuple):
             summed[v] = summed.get(v, 0) + e
         return tuple.__new__(Monomial, sorted(summed.items()))
 
-    def without(self, v: Variable) -> "Monomial":
-        return tuple.__new__(Monomial, [(w, e) for w, e in self if w != v])
-
     def order_key(self) -> tuple:
         """Ascending sort key for descending graded-lex order, variables ranked
         by name.  Needs no variable list: an absent variable is a zero
@@ -186,11 +190,11 @@ def _packing(operands: Iterable[Mapping[Monomial, int]], degree: int):
 class Polynomial:
     """Immutable sparse polynomial with integer coefficients."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_text")
 
     def __init__(self, terms: Mapping[Monomial, int]):
         self._terms = {m: c for m, c in terms.items() if c != 0}
-        self._hash: int | None = None
+        self._hash = self._text = None
 
     # -- constructors ------------------------------------------------------
 
@@ -216,7 +220,7 @@ class Polynomial:
         return not self._terms
 
     def is_constant(self) -> bool:
-        return all(not m for m in self._terms)
+        return not any(self._terms)  # every monomial the empty tuple
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polynomial) and self._terms == other._terms
@@ -245,20 +249,28 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self._terms.items()})
+        return _from_terms({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial | int") -> "Polynomial":
         if isinstance(other, int):
             other = Polynomial.constant(other)
-        return self + (-other)
+        out = dict(self._terms)
+        for m, c in other._terms.items():
+            out[m] = out.get(m, 0) - c
+        return Polynomial(out)
 
     def __rsub__(self, other: int) -> "Polynomial":
         return Polynomial.constant(other) - self
 
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":
         if isinstance(other, int):
-            return Polynomial({m: c * other for m, c in self._terms.items()})
+            return _from_terms({m: c * other for m, c in self._terms.items()} if other else {})
         a, b = self._terms, other._terms
+        if len(a) == 1 and _ONE_MONOMIAL in a:
+            a, b = b, a
+        if len(b) == 1 and _ONE_MONOMIAL in b:  # scale, in a's term order
+            k = b[_ONE_MONOMIAL]
+            return _from_terms({m: c * k for m, c in a.items()})
         if len(a) * len(b) <= _PAIR_MERGE_MAX:
             out: dict[Monomial, int] = {}
             for m1, c1 in a.items():
@@ -274,7 +286,7 @@ class Polynomial:
             for k2, c2 in kb:
                 k = k1 + k2
                 acc[k] = acc.get(k, 0) + c1 * c2
-        return Polynomial({unpack(k): c for k, c in acc.items() if c})
+        return _from_terms({unpack(k): c for k, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -305,27 +317,35 @@ class Polynomial:
 
     def coefficients_wrt(self, v: Variable) -> list["Polynomial"]:
         """Coefficient polynomials of v^0 .. v^deg, none involving ``v``."""
-        deg = self.degree_in(v)
-        buckets: list[dict[Monomial, int]] = [{} for _ in range(deg + 1)]
+        buckets: list[dict[Monomial, int]] = [{}]
         for m, c in self._terms.items():
-            buckets[m.degree_in(v)][m.without(v)] = c
-        return [Polynomial(b) for b in buckets]
+            for i, (w, e) in enumerate(m):
+                if w == v:
+                    while len(buckets) <= e:
+                        buckets.append({})
+                    buckets[e][tuple.__new__(Monomial, m[:i] + m[i + 1:])] = c
+                    break
+            else:
+                buckets[0][m] = c
+        return [_from_terms(b) for b in buckets]
 
     def derivative(self, v: Variable) -> "Polynomial":
-        out: dict[Monomial, int] = {}
-        for m, c in self._terms.items():
-            e = m.degree_in(v)
-            if e == 0:
-                continue
-            dm = Monomial([(w, k - 1 if w == v else k) for w, k in m])
-            out[dm] = out.get(dm, 0) + c * e
-        return Polynomial(out)
+        # distinct monomials in v stay distinct when v's exponent drops by 1
+        return _from_terms({Monomial([(w, k - 1 if w == v else k) for w, k in m]): c * e
+                            for m, c in self._terms.items() if (e := m.degree_in(v))})
 
     def leading_coefficient(self) -> int:
         """Coefficient of the graded-lex-leading term; 0 for the zero polynomial."""
         if not self._terms:
             return 0
-        return self._terms[min(self._terms, key=Monomial.order_key)]
+        top, lead = -1, []  # the monomials of top total degree
+        for m in self._terms:
+            d = sum([e for _, e in m])
+            if d > top:
+                top, lead = d, [m]
+            elif d == top:
+                lead.append(m)
+        return self._terms[lead[0] if len(lead) == 1 else min(lead, key=Monomial.order_key)]
 
     def content(self) -> int:
         """Gcd of the absolute coefficient values; 0 for the zero polynomial."""
@@ -334,7 +354,16 @@ class Polynomial:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        return _render(self._terms)
+        if self._text is None:
+            self._text = _render(self._terms)
+        return self._text
+
+
+def _from_terms(terms: dict[Monomial, int]) -> Polynomial:
+    """The Polynomial of ``terms``, taken as it is: no coefficient may be 0."""
+    p = object.__new__(Polynomial)
+    p._terms, p._hash, p._text = terms, None, None
+    return p
 
 
 _ONE = Polynomial.constant(1)
@@ -377,7 +406,8 @@ def _render(terms: Mapping[Monomial, int | Fraction]) -> str:
     if not terms:
         return "0"
     chunks: list[str] = []
-    for m, c in sorted(terms.items(), key=lambda t: t[0].order_key()):
+    for m in sorted(terms, key=Monomial.order_key):
+        c = terms[m]
         factors = [f"{v}^{e}" if e > 1 else str(v) for v, e in m]
         if abs(c) != 1 or not factors:
             factors.insert(0, _decimal(abs(c)))
@@ -393,7 +423,9 @@ def canonicalize(p: Polynomial) -> Polynomial:
     c = p.content()
     if p.leading_coefficient() < 0:
         c = -c
-    return Polynomial({m: coeff // c for m, coeff in p.terms.items()})
+    if c == 1:
+        return p
+    return _from_terms({m: coeff // c for m, coeff in p.terms.items()})
 
 
 def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
@@ -405,9 +437,11 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
         raise ZeroDivisionError("polynomial division by zero")
     if d.is_constant():  # a constant divides each term of p on its own
         (lc_d,) = d.terms.values()
+        if lc_d == 1:
+            return p
         if any(c % lc_d for c in p.terms.values()):
             raise ArithmeticError("inexact polynomial division")
-        return Polynomial({m: c // lc_d for m, c in p.terms.items()})
+        return _from_terms({m: c // lc_d for m, c in p.terms.items()})
     pack, unpack, guards = _packing((p.terms, d.terms), max(p.total_degree(), d.total_degree()))
     (k_d, lc_d), *rest = sorted(((pack(m), c) for m, c in d.terms.items()), reverse=True)
     r = {pack(m): c for m, c in p.terms.items()}
@@ -436,7 +470,7 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
                     r[t] = rc
                 else:
                     del r[t]
-    return Polynomial({unpack(k): c for k, c in quotient.items()})
+    return _from_terms({unpack(k): c for k, c in quotient.items()})
 
 
 # -- resultants ------------------------------------------------------------
@@ -523,7 +557,7 @@ def _kronecker_prem(a: list, b: list, max_slots: int | None = None) -> list | No
             m = tuple.__new__(Monomial, [(v, e) for v, st, ext in dims if (e := s // st % ext)])
             terms[m] = int.from_bytes(data[s * width:(s + 1) * width], "little", signed=True)
             hit = _NONZERO_BYTE.search(data, (s + 1) * width)
-        return Polynomial(terms)
+        return _from_terms(terms)
 
     return [decode(n) for n in _prem([encode(c) for c in a], [encode(c) for c in b])]
 
@@ -572,13 +606,12 @@ def resultant(p: Polynomial, q: Polynomial, v: Variable) -> Polynomial:
     """
     if p.is_zero() or q.is_zero():
         raise ValueError("zero operand")
-    dp, dq = p.degree_in(v), q.degree_in(v)
+    a, b = p.coefficients_wrt(v), q.coefficients_wrt(v)
+    dp, dq = len(a) - 1, len(b) - 1
     if dq == 0:  # q**0 is 1 when both degrees are 0
         return q**dp
     if dp == 0:
         return p**dq
-
-    a, b = p.coefficients_wrt(v), q.coefficients_wrt(v)
     sign = 1
     if dp < dq:
         a, b = b, a

@@ -55,15 +55,16 @@ def project_once(level: Iterable[Polynomial], v: Variable) -> tuple[Polynomial, 
     produced: list[Polynomial] = []
     involving = []
     for p in members:
-        if p.degree_in(v) == 0:
+        d = p.degree_in(v)
+        if d == 0:
             produced.append(p)  # pass through untouched by elimination
         else:
-            involving.append(p)
-    for p in involving:
+            involving.append((p, d))
+    for p, d in involving:
         produced.extend(p.coefficients_wrt(v))
-        if p.degree_in(v) >= 2:
+        if d >= 2:
             produced.append(discriminant(p, v))
-    for p, q in combinations(involving, 2):
+    for (p, _), (q, _) in combinations(involving, 2):
         produced.append(resultant(p, q, v))
     return reduce_level(produced)
 

@@ -1,13 +1,14 @@
 import random
 import re
 from types import MappingProxyType
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cadorder import Monomial, Polynomial, Variable, canonicalize, discriminant, parse_system, render, resultant
-from cadorder.poly import _PAIR_MERGE_MAX, exact_div
+from cadorder.poly import _LOOP_MAX_TERMS, _PAIR_MERGE_MAX, _kronecker_prem, _prem, _render, exact_div
 from conftest import random_polynomial
 from oracles import grlex_terms, pair_merge_product, sylvester_resultant
 
@@ -142,6 +143,8 @@ class TestExactDiv:
         assert exact_div((X * Y + Z) * (X**2 - 3), X**2 - 3) == X * Y + Z
         assert exact_div(6 * X * Y - 4 * Z, Polynomial.constant(2)) == 3 * X * Y - 2 * Z
         assert exact_div(Polynomial.zero(), X + 1) == Polynomial.zero()
+        p = 6 * X * Y - 4 * Z
+        assert exact_div(p, Polynomial.constant(1)) is p
 
     def test_inexact_raises(self):
         with pytest.raises(ArithmeticError, match="inexact"):
@@ -253,6 +256,67 @@ class TestPackedKernels:
                 exact_div(p, d)
 
 
+def assert_well_formed(r):
+    """No stored zero, equal to a fresh construction, and the same text
+    before and after it is cached."""
+    assert all(r.terms.values())
+    assert r == Polynomial(dict(r.terms))
+    assert str(r) == _render(r.terms)
+    assert str(r) == _render(r.terms)
+
+
+@st.composite
+def top_degree_ties(draw):
+    """Polynomials in x, y, z with two or more terms of the top total degree."""
+    d = draw(st.integers(1, 6))
+    top = [Monomial({x: i, y: j, z: d - i - j}) for i in range(d + 1) for j in range(d + 1 - i)]
+    low = [Monomial({x: i, z: j}) for i in range(d) for j in range(d - i)]
+    monomials = draw(st.lists(st.sampled_from(top), min_size=2, unique=True)) + draw(st.lists(st.sampled_from(low)))
+    return Polynomial({m: draw(st.integers(-9, 9).filter(bool)) for m in monomials})
+
+
+class TestTrustedConstruction:
+    """Operations that build a Polynomial from a dict without the zero filter."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), packed=st.booleans())
+    def test_results_hold_no_zero(self, data, packed):
+        a, b = data.draw(operand_pairs(packed))
+        k = data.draw(st.integers(-3, 3))
+        c = Polynomial.constant(data.draw(st.integers(-(2**70), 2**70).filter(bool)))
+        results = [a + b, a - b, a - a, a + (-a), -a, a * k, k * a, a * c, c * a, a * b, a**2, c**3]
+        results += a.coefficients_wrt(_KERNEL_VARIABLES[0]) + [a.derivative(_KERNEL_VARIABLES[0])]
+        results += [canonicalize(a), canonicalize(a * b)]
+        results += [exact_div(a * c, c), exact_div(a * b, b), exact_div(a, Polynomial.constant(1))]
+        for r in results:
+            assert_well_formed(r)
+
+    # At most 10 terms in all keep the loop; at least 11 take the substitution.
+    @pytest.mark.parametrize(
+        "kronecker, coefficients, terms", [(False, (1, 3), (1, 2)), (True, (3, 4), (3, 4))], ids=["loop", "kronecker"]
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_pseudo_remainders_hold_no_zero(self, kronecker, coefficients, terms, data):
+        monomial = st.tuples(st.integers(0, 2), st.integers(0, 2)).map(lambda t: Monomial({y: t[0], z: t[1]}))
+        small = st.dictionaries(monomial, st.integers(-5, 5).filter(bool), min_size=terms[0], max_size=terms[1])
+        a = data.draw(st.lists(small.map(Polynomial), min_size=coefficients[0], max_size=coefficients[1]))
+        b = data.draw(st.lists(small.map(Polynomial), min_size=1, max_size=2))
+        assert (sum(len(c.terms) for c in a + b) > _LOOP_MAX_TERMS) == kronecker
+        with mock.patch("cadorder.poly._kronecker_prem", wraps=_kronecker_prem) as spy:
+            r = _prem(a, b)
+        assert spy.called == kronecker
+        for c in r:
+            assert_well_formed(c)
+
+
+class TestShortcuts:
+    @settings(max_examples=150, deadline=None)
+    @given(top_degree_ties())
+    def test_leading_coefficient_among_tied_top_terms(self, p):
+        assert p.leading_coefficient() == p.terms[min(p.terms, key=Monomial.order_key)]
+
+
 @st.composite
 def resultant_operands(draw, count):
     """``count`` nonzero polynomials over the same 2-4 variables, exponents
@@ -358,7 +422,7 @@ class TestCanonicalize:
     @given(sparse_polynomials([x, y, z], 1, 6))
     def test_idempotent_property(self, p):
         once = canonicalize(p)
-        assert canonicalize(once) == once
+        assert canonicalize(once) is once
         assert once.content() == 1 and once.leading_coefficient() > 0
 
     def test_positive_leading_coefficient(self):
