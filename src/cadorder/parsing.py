@@ -144,11 +144,6 @@ class _LineParser:
                   else "unexpected end of line", tok)
 
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
-
-
 def parse_system(text: str) -> PolySystem:
     """Parse a ``.poly`` document into a polynomial system.
 
@@ -162,7 +157,7 @@ def parse_system(text: str) -> PolySystem:
     first: dict[Polynomial, tuple[int, int]] = {}  # polynomial -> (line, column)
     seen_significant = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
+        line = raw.partition("#")[0]
         if not line.strip():
             continue
         if not seen_significant and line.lstrip().startswith("vars:"):

@@ -10,10 +10,11 @@ fixed-step pseudo-division on dense coefficient lists, which the univariate
 chains share.
 
 No stored coefficient is ever 0.  ``Polynomial(terms)`` drops zeros from any
-mapping; ``_from_terms`` takes as it is a dict that has none by construction,
-from negation, scaling by a nonzero int or constant, the packed product,
-``coefficients_wrt``, ``derivative``, ``canonicalize``, ``exact_div`` and
-Kronecker read-back.
+mapping; in arithmetic only the pair-by-pair product needs that.
+``_from_terms`` takes as it is a dict that has none by construction: from sums
+and differences, which drop a term as it cancels, negation, scaling by a
+nonzero int or constant, the packed product, ``coefficients_wrt``,
+``derivative``, ``canonicalize``, ``exact_div`` and Kronecker read-back.
 ``str(p)``, like the hash, is computed on first use and kept.
 
 ``Monomial`` is the only monomial type outside this module.  Inside it, a
@@ -38,11 +39,12 @@ A pseudo-remainder over Polynomial coefficients whose operands have more than
 ``_LOOP_MAX_TERMS`` terms in all runs by Kronecker substitution (von zur
 Gathen and Gerhard, *Modern Computer Algebra*, 8.4).  Each coefficient of a
 and b, a polynomial in the other variables, becomes one int, its value at
-x_j = 2^(w s_j), where s_j is x_j's stride in a dense degree box and w is
-the slot width in bits.  The loop of ``_prem`` runs on those ints, and each
-int of the remainder is read back slot by slot.  Substitution is a ring
-homomorphism, so no intermediate value can overflow; only the remainder has
-to fit, and with steps = len(a) - len(b) + 1 it does:
+x_j = 2^(w s_j): the plain sum of its terms shifted into their slots, where
+s_j is x_j's stride in a dense degree box and w is the slot width in bits.
+The loop of ``_prem`` runs on those ints, and each int of the remainder is
+read back slot by slot.  Substitution is a ring homomorphism, so no
+intermediate value can overflow; only the remainder has to fit, and with
+steps = len(a) - len(b) + 1 it does:
 
 - the box has max(deg_v a, deg_v b) + steps * deg_v b + 1 slots for each v,
   deg_v the largest degree in v of a list's coefficients, because each step
@@ -60,9 +62,7 @@ every slot, and a regular-expression scan in C skips the zero ones.  Smaller
 operands keep the loop over Polynomials, where substitution costs more than
 it saves, and so do operands whose box has more than
 ``_KRONECKER_SLOTS_PER_TERM`` slots per term, so that a sparse input of high
-degree cannot allocate a huge int.  The loop skips the rescale when lc(b) is
-1: the int 1 or the constant Polynomial 1, which is a different test, as a
-Polynomial never equals an int.
+degree cannot allocate a huge int.
 """
 
 from __future__ import annotations
@@ -242,9 +242,12 @@ class Polynomial:
         if isinstance(other, int):
             other = Polynomial.constant(other)
         out = dict(self._terms)
-        for m, c in other._terms.items():
-            out[m] = out.get(m, 0) + c
-        return Polynomial(out)
+        for m, c in other._terms.items():  # a term that cancels is dropped at once
+            if s := out.get(m, 0) + c:
+                out[m] = s
+            else:
+                del out[m]
+        return _from_terms(out)
 
     __radd__ = __add__
 
@@ -255,9 +258,12 @@ class Polynomial:
         if isinstance(other, int):
             other = Polynomial.constant(other)
         out = dict(self._terms)
-        for m, c in other._terms.items():
-            out[m] = out.get(m, 0) - c
-        return Polynomial(out)
+        for m, c in other._terms.items():  # a term that cancels is dropped at once
+            if s := out.get(m, 0) - c:
+                out[m] = s
+            else:
+                del out[m]
+        return _from_terms(out)
 
     def __rsub__(self, other: int) -> "Polynomial":
         return Polynomial.constant(other) - self
@@ -530,25 +536,14 @@ def _kronecker_prem(a: list, b: list, max_slots: int | None = None) -> list | No
 
     lead = norm(b[-1]) + max(map(norm, b[:-1]), default=0)
     width = (max(map(norm, a), default=0).bit_length() + steps * lead.bit_length()) // 8 + 1
-    top = 1 << (8 * width - 1)  # the bias of one slot; width is in bytes
-    half = top.to_bytes(width, "little")
-
-    def bias(count: int) -> int:
-        return int.from_bytes(half * count, "little")
+    half = (1 << (8 * width - 1)).to_bytes(width, "little")  # a slot's bias; width is in bytes
 
     def encode(c: Polynomial) -> int:
-        if not c:
-            return 0
-        offsets = [(width * sum([e * stride[v] for v, e in m]), k) for m, k in c.terms.items()]
-        count = max(o for o, _ in offsets) // width + 1
-        biased = bytearray(half * count)
-        for o, k in offsets:
-            biased[o:o + width] = (k + top).to_bytes(width, "little")
-        return int.from_bytes(biased, "little") - bias(count)
+        return sum([k << 8 * width * sum([e * stride[v] for v, e in m]) for m, k in c.terms.items()])
 
     def decode(n: int) -> Polynomial:
         count = min(n.bit_length() // (8 * width) + 1, slots)  # up to n's top slot
-        biased = bias(count)
+        biased = int.from_bytes(half * count, "little")
         data = ((n + biased) ^ biased).to_bytes(count * width, "little")
         terms = {}  # each slot of data is now its coefficient in two's complement
         hit = _NONZERO_BYTE.search(data)
@@ -580,9 +575,7 @@ def _prem(a: list, b: list, modulus: int | None = None) -> list:
             r = _kronecker_prem(a, b, _KRONECKER_SLOTS_PER_TERM * terms)
             if r is not None:
                 return r
-        scale = lc != _ONE
-    else:
-        scale = lc != 1
+    scale = lc not in (1, _ONE)  # two tests, as a Polynomial never equals an int
     r = list(a)
     for k in range(len(a) - len(b), -1, -1):
         lcr = r.pop()

@@ -8,17 +8,17 @@ pseudo-remainder that resultants in poly use too; by a monic divisor and with
 a modulus it is the remainder over GF(p).  Signs at plus or minus infinity
 are read off leading coefficients and degree parity.
 
-The gcd of primitive a and b is built from its images modulo primes below
-2^31 (Brown, JACM 18, 1971), from _P = 2^31 - 1 down, skipping any prime that
-divides lc(a) lc(b).  Euclid over GF(p) gives a monic image, which is scaled
-by gcd(lc a, lc b).  A common factor G keeps its degree modulo such a prime,
-since lc(G) divides lc(a), so no image has a lower degree than G: an image of
-degree 0 proves a and b coprime, and an image of more than the least degree
-seen is unlucky and dropped.  The images of least degree are combined by the
-Chinese remainder theorem in the symmetric range, and the primitive part is
-returned once `_exact_div_ints` divides both a and b by it, which makes it
-+-G; the squarefree part is that division's quotient of p by gcd(p, p').  An
-unlucky prime costs time, never a wrong answer.
+`_gcd_cofactor` takes the primitive parts of a and b and builds their gcd from
+its images modulo primes below 2^31 (Brown, JACM 18, 1971), from _P = 2^31 - 1
+down, skipping any prime that divides lc(a) lc(b).  Euclid over GF(p) gives a
+monic image, which is scaled by gcd(lc a, lc b).  A common factor G keeps its
+degree modulo such a prime, since lc(G) divides lc(a), so no image has a lower
+degree than G: an image of degree 0 proves a and b coprime, and an image of
+more than the least degree seen is unlucky and dropped.  The images of least
+degree are combined by the Chinese remainder theorem in the symmetric range,
+and the primitive part is returned once `_exact_div_ints` divides both a and b
+by it, which makes it +-G; the squarefree part is that division's quotient of
+p by gcd(p, p').  An unlucky prime costs time, never a wrong answer.
 
 Root counting races two exact methods on the squarefree part and returns the
 first count: Descartes bisection (Collins & Akritas 1976; Rouillier &
@@ -163,7 +163,7 @@ def _exact_div_ints(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
-_P = 2**31 - 1  # the first modulus of `_gcd_ints`
+_P = 2**31 - 1  # the first modulus of `_gcd_cofactor`
 _PRIMES = [_P]  # primes below 2^31, descending, found as `_primes` needs them
 
 
@@ -192,11 +192,6 @@ def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
         return [c * inv % p for c in u]
     return monic(_remainder_sequence([c % p for c in a], [c % p for c in b],
                                      lambda u, v: _prem(u, monic(v), p))[-1])
-
-
-def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd with positive leading coefficient."""
-    return _gcd_cofactor(a, b)[0]
 
 
 def _gcd_cofactor(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -236,7 +231,7 @@ def univariate_gcd(p: UnivariatePolynomial, q: UnivariatePolynomial) -> Univaria
     """Gcd, normalized to integer-primitive with positive leading coefficient."""
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd of zeros")
-    g = _gcd_ints(_int_coeffs(p), _int_coeffs(q))
+    g, _ = _gcd_cofactor(_int_coeffs(p), _int_coeffs(q))
     return UnivariatePolynomial.make(p.variable, g)
 
 
@@ -244,7 +239,7 @@ def squarefree_part(p: UnivariatePolynomial) -> UnivariatePolynomial:
     """p / gcd(p, p'): same distinct real roots, all multiplicities one."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    a = _pp_ints(_int_coeffs(p))
+    a = _int_coeffs(p)
     _, sf = _gcd_cofactor(a, _derivative(a))
     if sf[-1] < 0:
         sf = [-c for c in sf]

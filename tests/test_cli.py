@@ -214,6 +214,16 @@ class TestBench:
         # p2's brown pick is x>y>z (120 cells), avoiding both timeouts
         assert payload["per_heuristic"]["brown"]["timeout_avoidance_count"] == 1
 
+    def test_problems_not_a_directory_exit_1(self):
+        cells = str(FIXTURES / "bench_cells.csv")
+        code, out, err = invoke(["bench", "--problems", cells, "--cells", cells])
+        assert (code, out, err) == (1, "", f"cadorder: usage error: not a directory: {cells}\n")
+
+    def test_no_poly_files_exit_1(self, tmp_path):
+        (tmp_path / "p1.txt").write_text("x + 1\n")
+        code, out, err = invoke(["bench", "--problems", str(tmp_path), "--cells", self.ARGS[-1]])
+        assert (code, out, err) == (1, "", f"cadorder: usage error: no .poly files in {tmp_path}\n")
+
     def test_missing_csv_exit_3(self):
         code, _, err = invoke(self.ARGS[:-1] + ["missing.csv"])
         assert code == 3 and "cell table error" in err

@@ -6,6 +6,7 @@ from cadorder import (
     BrownTriple,
     Polynomial,
     PolySystem,
+    ProjectionSet,
     Variable,
     brown_candidates,
     brown_triple,
@@ -33,6 +34,10 @@ class TestEnumerateOrderings:
 
     def test_singleton(self):
         assert enumerate_orderings([x]) == [(x,)]
+
+    def test_empty(self):
+        with pytest.raises(ValueError, match="^no variables to order$"):
+            enumerate_orderings([])
 
     def test_four_variables(self):
         assert len(enumerate_orderings([w, x, y, z])) == 24
@@ -95,6 +100,9 @@ class TestMetrics:
         system = PolySystem.make([X**2 + 1])
         assert ndrr_value(full_projection(system, (x,))) == 0
 
+    def test_ndrr_without_levels(self):
+        assert ndrr_value(ProjectionSet((x,), ())) == 0
+
 
 class TestLexTiebreak:
     def test_pairs(self):
@@ -121,6 +129,14 @@ class TestChoose:
         assert report.per_ordering == {(y, x): 1, (x, y): 1}
         assert report.candidates == ((x, y), (y, x))
         assert report.chosen == (x, y)
+
+    def test_empty_system(self):
+        empty = PolySystem.make([])
+        with pytest.raises(ValueError, match="^empty system$"):
+            brown_candidates(empty)
+        for heuristic in ("brown", "sotd", "ndrr"):
+            with pytest.raises(ValueError, match="^empty system$"):
+                choose(empty, heuristic)
 
     def test_unknown_heuristic(self):
         with pytest.raises(ValueError, match="unknown heuristic"):

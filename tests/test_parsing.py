@@ -89,6 +89,17 @@ class TestParseSystem:
         with pytest.raises(ParseError, match="duplicate variable"):
             parse_system("vars: x, x\nx + 1")
 
+    @pytest.mark.parametrize(
+        "declaration, reason",
+        [("vars:", "empty variable declaration"), ("vars:  \t", "empty variable declaration"),
+         ("vars: x, 1y", "invalid variable name '1y'")],
+        ids=["empty", "blank", "invalid-name"],
+    )
+    def test_bad_declaration(self, declaration, reason):
+        with pytest.raises(ParseError) as info:
+            parse_system(declaration + "\nx + 1")
+        assert (info.value.line, info.value.col, info.value.reason) == (1, 6, reason)
+
     def test_error_position_is_one_based(self):
         with pytest.raises(ParseError) as info:
             parse_system("x + 1\nx + + *")
@@ -108,8 +119,9 @@ class TestParseSystem:
 
     @pytest.mark.parametrize(
         "text, col, message",
-        [("2x", 2, "unexpected token 'x'"), ("x +\t@", 5, "unexpected character '@'")],
-        ids=["int-then-name", "tab-then-character"],
+        [("2x", 2, "unexpected token 'x'"), ("x +\t@", 5, "unexpected character '@'"),
+         ("  (x + 1", 9, "expected ')'")],
+        ids=["int-then-name", "tab-then-character", "unclosed-parenthesis"],
     )
     def test_token_errors(self, text, col, message):
         with pytest.raises(ParseError) as info:

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cadorder import Monomial, Polynomial, Variable, canonicalize, discriminant, parse_system, render, resultant
+from cadorder import (
+    Monomial, Polynomial, PolySystem, Variable, canonicalize, discriminant, parse_system, render, resultant,
+)
 from cadorder.poly import _LOOP_MAX_TERMS, _PAIR_MERGE_MAX, _kronecker_prem, _prem, _render, exact_div
 from conftest import random_polynomial
 from oracles import grlex_terms, pair_merge_product, sylvester_resultant
@@ -57,6 +59,10 @@ class TestPower:
             expected = expected * p
         assert got == expected
 
+    def test_negative_exponent(self):
+        with pytest.raises(ValueError, match="^negative polynomial power$"):
+            X ** -1
+
     def test_exponent_of_any_length(self):
         # one square per bit of n, in a loop: no recursion depth to exceed
         assert Polynomial.constant(1) ** (10**400 - 1) == Polynomial.constant(1)
@@ -82,6 +88,7 @@ class TestValueSemantics:
             assert m.exps == pairs
         with pytest.raises(ValueError, match="negative exponent"):
             Monomial({x: -1})
+        assert repr(Monomial(pairs)) == "Monomial(x^2*y^1)" and repr(Monomial(())) == "Monomial(1)"
 
     def test_repeated_variable_is_summed(self):
         m = Monomial([(x, 1), (y, 3), (x, 1)])
@@ -129,6 +136,7 @@ class TestTermOrder:
         for _ in range(300):
             p = random_polynomial(rng, [x, y, z], max_degree=4, max_terms=6)
             assert p.leading_coefficient() == grlex_terms(p)[0][1]
+        assert Polynomial.zero().leading_coefficient() == 0
 
 
 class TestExactDiv:
@@ -153,6 +161,8 @@ class TestExactDiv:
             exact_div(3 * X, 2 * X)
         with pytest.raises(ArithmeticError, match="inexact"):
             exact_div(Y, X)
+        with pytest.raises(ArithmeticError, match="^inexact polynomial division$"):
+            exact_div(6 * X * Y - 3 * Z, Polynomial.constant(2))  # a constant that does not divide
 
     def test_zero_divisor_raises(self):
         with pytest.raises(ZeroDivisionError):
@@ -432,3 +442,13 @@ class TestCanonicalize:
             c = canonicalize(p)
             assert c.leading_coefficient() > 0
             assert c.content() == 1
+
+
+class TestPolySystem:
+    def test_zero_polynomial(self):
+        with pytest.raises(ValueError, match="^zero polynomial in system$"):
+            PolySystem.make([X + 1, Polynomial.zero()])
+
+    def test_undeclared_variables(self):
+        with pytest.raises(ValueError, match="^undeclared variables in system: y, z$"):
+            PolySystem.make([X * Z + Y], variables=[x])

@@ -87,6 +87,18 @@ class TestLoad:
         with pytest.raises(CellTableError, match="duplicate"):
             small_table([("p1", "x", 5, 0), ("p1", "x", 6, 0)])
 
+    def test_blank_line_skipped(self):
+        table = load_cell_table("problem,ordering,cells,timeout\np1,x>y,5,0\n\np1,y>x,7,0\n")
+        assert [(r.ordering, r.cells) for r in table.rows] == [(("x", "y"), 5), (("y", "x"), 7)]
+
+    def test_wrong_field_count(self):
+        with pytest.raises(CellTableError, match=r"^line 3: expected 4 fields$"):
+            load_cell_table("problem,ordering,cells,timeout\np1,x>y,5,0\np1,y>x,5\n")
+
+    def test_timeout_not_a_flag(self):
+        with pytest.raises(CellTableError, match=r"^line 2: timeout must be 0 or 1$"):
+            small_table([("p1", "x", 5, 2)])
+
     def test_cells_present_on_timeout(self):
         with pytest.raises(CellTableError, match="timed-out"):
             small_table([("p1", "x", 5, 1)])
@@ -216,6 +228,11 @@ class TestComputeReport:
     def test_pick_for_absent_problem(self):
         picks = {h: {"p2": ("x", "y", "z")} for h in ("brown", "sotd", "ndrr")}
         with pytest.raises(CellTableError, match="no cell-count row"):
+            compute_report(SIX, picks)
+
+    def test_no_common_problem(self):
+        picks = {"brown": {"p1": ("x", "y", "z")}, "sotd": {"p2": ("x", "y", "z")}}
+        with pytest.raises(CellTableError, match="^no problems to report on$"):
             compute_report(SIX, picks)
 
 

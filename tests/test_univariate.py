@@ -8,15 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cadorder import (
+    Polynomial,
     UnivariatePolynomial,
     Variable,
     count_distinct_real_roots,
     squarefree_part,
     sturm_sequence,
+    to_univariate,
     univariate_gcd,
 )
 from cadorder.univariate import (
-    _P, _descartes, _exact_div_ints, _gcd_cofactor, _gcd_ints, _int_coeffs, _pp_ints, _primes,
+    _P, _descartes, _exact_div_ints, _gcd_cofactor, _int_coeffs, _pp_ints, _primes,
     _race, _sturm,
 )
 from oracles import euclid_gcd
@@ -45,6 +47,13 @@ def _mul(p, q):
         for j, b in enumerate(q.coefficients):
             coeffs[i + j] += a * b
     return UnivariatePolynomial.make(x, coeffs)
+
+
+class TestToUnivariate:
+    def test_other_variables_rejected(self):
+        p = Polynomial.variable(x) * Polynomial.variable(Variable("z")) + Polynomial.variable(Variable("y"))
+        with pytest.raises(ValueError, match="^polynomial is not univariate in x: also uses y, z$"):
+            to_univariate(p, x)
 
 
 class TestGcd:
@@ -138,7 +147,7 @@ class TestGcdProperty:
     @given(shared=_FACTORS, a=_FACTORS, b=_FACTORS)
     def test_matches_euclid_over_the_rationals(self, shared, a, b):
         a, b = _mul_ints(shared, a), _mul_ints(shared, b)
-        assert _gcd_ints(a, b) == euclid_gcd(a, b)
+        assert _gcd_cofactor(a, b)[0] == euclid_gcd(a, b)
 
     @settings(max_examples=100, deadline=None)
     @given(a=_FACTORS, b=_FACTORS)
@@ -146,7 +155,7 @@ class TestGcdProperty:
         p = _mul_ints(_mul_ints(a, a), b)
         dp = [i * c for i, c in enumerate(p)][1:]
         if any(dp):
-            assert _gcd_ints(p, dp) == euclid_gcd(p, dp)
+            assert _gcd_cofactor(p, dp)[0] == euclid_gcd(p, dp)
 
 
 class TestExactDivInts:
@@ -172,6 +181,10 @@ class TestExactDivInts:
 
 
 class TestSturmSequence:
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError, match="^zero polynomial$"):
+            sturm_sequence(upoly())
+
     def test_two_real_roots(self):
         assert sturm_sequence(upoly(-1, 0, 1)) == [upoly(-1, 0, 1), upoly(0, 2), upoly(1)]
 
@@ -270,14 +283,30 @@ class TestModularGcd:
         # coefficients past 2^31: one image cannot hold them, CRT needs two primes
         g = [-(2**45 + 7), 2**33 - 5, 2**40 + 3]
         a, b = _mul_ints(g, [2, 1]), _mul_ints(g, [-1, 0, 3])
-        assert _gcd_ints(a, b) == g
-        assert _gcd_ints(_mul_ints(a, [5]), [-c for c in b]) == g
+        assert _gcd_cofactor(a, b)[0] == g
+        assert _gcd_cofactor(_mul_ints(a, [5]), [-c for c in b])[0] == g
 
     def test_unlucky_primes_in_a_row(self):
         # modulo each of the first two primes the pair is x^2 and 2x, with gcd
         # x; the images agree, yet over the integers the gcd is 1
         first, second = islice(_primes(), 2)
-        assert _gcd_ints([first * second, 0, 1], [0, 2]) == [1]
+        assert _gcd_cofactor([first * second, 0, 1], [0, 2])[0] == [1]
+
+    def test_unlucky_first_prime_is_reset(self):
+        # modulo _P, x + 2 + _P is x + 2, so the first image has degree 2; the
+        # second prime's image has degree 1 and replaces it
+        a = _mul_ints([1, 1], [2, 1])
+        b = _mul_ints([1, 1], [2 + _P, 1])
+        assert _gcd_cofactor(a, b)[0] == euclid_gcd(a, b) == [1, 1]
+
+    def test_unlucky_later_prime_is_skipped(self):
+        # the first image is G; modulo the second prime x + 1 + p2 is x + 1, so
+        # the second image has degree 2 and is dropped, and a third prime
+        # completes G's coefficients above 2^31
+        p2 = list(islice(_primes(), 2))[1]
+        g = [2**40 + 1, 1]
+        a, b = _mul_ints(g, [1, 1]), _mul_ints(g, [1 + p2, 1])
+        assert _gcd_cofactor(a, b)[0] == euclid_gcd(a, b) == g
 
     @pytest.mark.parametrize("a, b", [
         ([-6, 4, 2], [-2, 2]),  # gcd x - 1, cofactor of pp(a) x + 3
@@ -289,7 +318,7 @@ class TestModularGcd:
     ])
     def test_cofactor_is_the_proving_quotient(self, a, b):
         g, q = _gcd_cofactor(a, b)
-        assert g == _gcd_ints(a, b)
+        assert g == euclid_gcd(a, b)
         assert (_mul_ints(g, q) if q else []) == _pp_ints(a)
 
 
