@@ -148,20 +148,12 @@ def best_pick_counts(
     problems = sorted(set.intersection(*(set(picks[h]) for h in heuristics)))
     counts = {h: 0 for h in heuristics}
     for problem in problems:
-        cells = {}
-        complete = True
-        for h in heuristics:
-            row = table.lookup(problem, picks[h][problem])
-            if row.timeout:
-                complete = False
-                break
-            cells[h] = row.cells
-        if not complete:
+        cells = [table.lookup(problem, picks[h][problem]).cells for h in heuristics]
+        if None in cells:  # a pick timed out
             continue
-        best = min(cells.values())
-        for h in heuristics:
-            if cells[h] == best:
-                counts[h] += 1
+        best = min(cells)
+        for h, c in zip(heuristics, cells):
+            counts[h] += c == best
     return counts
 
 
@@ -178,9 +170,8 @@ def savings_percent(table: CellCountTable, pick: Picks) -> dict[str, Fraction]:
             raise CellTableError(f"unknown problem {problem!r}")
         if any(r.timeout for r in prows):
             continue
-        row = table.lookup(problem, pick[problem])
-        avg = Fraction(sum(r.cells for r in prows), len(prows))
-        out[problem] = (avg - row.cells) / avg * 100
+        total, cells = sum(r.cells for r in prows), table.lookup(problem, pick[problem]).cells
+        out[problem] = Fraction(100 * (total - len(prows) * cells), total)
     return out
 
 

@@ -1,12 +1,12 @@
 """Univariate polynomials over the rationals: gcd, squarefree part, Sturm
 sequences and exact counting of distinct real roots.
 
-Polynomials hold Fraction coefficients; gcd, squarefree part and root
-counting run on integer coefficient lists scaled by positive factors, so root
-counts are exact.  Every remainder comes from `_prem`, the fixed-step
-pseudo-remainder that resultants in poly use too; by a monic divisor and with
-a modulus it is the remainder over GF(p).  Signs at plus or minus infinity
-are read off leading coefficients and degree parity.
+Coefficients are exact: ints stay ints, any other value becomes a Fraction.
+Gcd, squarefree part and root counting run on integer coefficient lists scaled
+by positive factors, so root counts are exact.  Every remainder comes from
+`_prem`, the fixed-step pseudo-remainder that resultants in poly use too; by a
+monic divisor and with a modulus it is the remainder over GF(p).  Signs at
+plus or minus infinity are read off leading coefficients and degree parity.
 
 `_gcd_cofactor` takes the primitive parts of a and b and builds their gcd from
 its images modulo primes below 2^31 (Brown, JACM 18, 1971), from _P = 2^31 - 1
@@ -57,15 +57,16 @@ from .poly import Monomial, Polynomial, Variable, _prem, _render, _trim
 
 @dataclass(frozen=True)
 class UnivariatePolynomial:
-    """Dense univariate polynomial: coefficients[i] is the coefficient of
-    variable**i; the leading stored coefficient is nonzero unless zero."""
+    """Dense univariate polynomial: coefficients[i], an int or else a Fraction,
+    is the coefficient of variable**i, and the last stored one is nonzero."""
 
     variable: Variable
-    coefficients: tuple[Fraction, ...]
+    coefficients: tuple[int | Fraction, ...]
 
     @staticmethod
     def make(variable: Variable, coefficients: Iterable[Fraction | int]) -> "UnivariatePolynomial":
-        return UnivariatePolynomial(variable, tuple(_trim([Fraction(c) for c in coefficients])))
+        return UnivariatePolynomial(
+            variable, tuple(_trim([c if type(c) is int else Fraction(c) for c in coefficients])))
 
     @property
     def degree(self) -> int:
@@ -76,8 +77,8 @@ class UnivariatePolynomial:
         return not self.coefficients
 
     @property
-    def leading_coefficient(self) -> Fraction:
-        return self.coefficients[-1] if self.coefficients else Fraction(0)
+    def leading_coefficient(self) -> int | Fraction:
+        return self.coefficients[-1] if self.coefficients else 0
 
     def derivative(self) -> "UnivariatePolynomial":
         return UnivariatePolynomial.make(self.variable, _derivative(self.coefficients))
@@ -259,7 +260,7 @@ def sturm_sequence(p: UnivariatePolynomial) -> list[UnivariatePolynomial]:
         raise ValueError("zero polynomial")
     chain = _remainder_sequence(
         p.coefficients, p.derivative().coefficients,
-        lambda a, b: _negated_prem(a, [c / b[-1] for c in b]),
+        lambda a, b: _negated_prem(a, [c / Fraction(b[-1]) for c in b]),
     )
     return [UnivariatePolynomial.make(p.variable, s) for s in chain]
 
@@ -349,5 +350,5 @@ def count_distinct_real_roots(p: UnivariatePolynomial) -> int:
         raise ValueError("identically zero has infinitely many roots")
     if p.degree == 0:
         return 0
-    sf = _int_coeffs(squarefree_part(p))
+    sf = list(squarefree_part(p).coefficients)
     return _race(_descartes(sf), _sturm(sf))

@@ -3,9 +3,12 @@ import io
 import json
 import statistics
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cadorder import (
     CellTableError,
@@ -178,6 +181,37 @@ class TestBestPick:
                 {"brown": {"p1": ("y",)}, "sotd": {"p1": ("x",)}, "ndrr": {"p1": ("x",)}},
             )
 
+    def test_missing_pick_raises_beside_a_timed_out_one(self):
+        # brown's pick timed out; sotd's pick has no row and is looked up all the same
+        table = small_table([("p1", "x>y", "", 1), ("p1", "y>x", 30, 0)])
+        picks = {"brown": {"p1": ("x", "y")}, "ndrr": {"p1": ("y", "x")}, "sotd": {"p1": ("y", "z")}}
+        with pytest.raises(CellTableError, match="no cell-count row"):
+            best_pick_counts(table, picks)
+
+
+def old_saving(table, problem, ordering):
+    """The saving as first written, (avg - cells) / avg * 100 for avg the
+    mean cell count over all orderings: the reference for `savings_percent`."""
+    prows = table.rows_for(problem)
+    avg = Fraction(sum(r.cells for r in prows), len(prows))
+    return (avg - table.lookup(problem, ordering).cells) / avg * 100
+
+
+@st.composite
+def tables_and_picks(draw):
+    """A cell table of up to four problems over one to three variables, with
+    occasional timeouts, and one pick per problem."""
+    orderings = list(permutations("xyz"[: draw(st.integers(1, 3))]))
+    rows, pick = [], {}
+    for i in range(draw(st.integers(1, 4))):
+        for o in orderings:
+            if draw(st.integers(0, 9)):
+                rows.append((f"p{i}", ">".join(o), draw(st.integers(1, 2**70)), 0))
+            else:
+                rows.append((f"p{i}", ">".join(o), "", 1))
+        pick[f"p{i}"] = draw(st.sampled_from(orderings))
+    return small_table(rows), pick
+
 
 class TestSavings:
     def test_worked_example(self):
@@ -209,6 +243,21 @@ class TestSavings:
     def test_unknown_problem(self):
         with pytest.raises(CellTableError, match="unknown problem"):
             savings_percent(SIX, {"p2": ("x", "y", "z")})
+
+    def test_matches_the_old_formula_on_the_fixture(self):
+        table = load_cell_table((FIXTURES / "stats_cells.csv").read_bytes())
+        for pick in FIXTURE_PICKS.values():
+            saving = savings_percent(table, pick)
+            assert len(saving) == 8
+            assert saving == {p: old_saving(table, p, pick[p]) for p in saving}
+
+    @given(tables_and_picks())
+    def test_matches_the_old_formula(self, table_and_pick):
+        table, pick = table_and_pick
+        expected = {p: old_saving(table, p, o) for p, o in pick.items() if not table.has_timeout(p)}
+        saving = savings_percent(table, pick)
+        assert saving == expected
+        assert all(type(v) is Fraction for v in saving.values())
 
     def test_mean_over_all_orderings_is_zero(self):
         orderings = [("x", "y", "z"), ("x", "z", "y"), ("y", "x", "z"),

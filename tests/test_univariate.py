@@ -56,6 +56,27 @@ class TestToUnivariate:
             to_univariate(p, x)
 
 
+class TestRepresentation:
+    """Integer input stays integer on the way to a root count; any other
+    coefficient becomes a Fraction."""
+
+    def test_integer_input_keeps_ints(self):
+        X = Polynomial.variable(x)
+        u = to_univariate((X + -1) ** 2 * (X + 2) * 3, x)
+        assert u.coefficients == (6, -9, 0, 3)
+        for q in (u, u.derivative(), univariate_gcd(u, u.derivative()), squarefree_part(u)):
+            assert q.coefficients and all(type(c) is int for c in q.coefficients)
+
+    def test_make_keeps_ints_and_converts_the_rest(self):
+        u = UnivariatePolynomial.make(x, [3, 0.5, Fraction(2, 4), True])
+        assert u.coefficients == (3, Fraction(1, 2), Fraction(1, 2), Fraction(1))
+        assert [type(c) for c in u.coefficients] == [int, Fraction, Fraction, Fraction]
+
+    def test_leading_coefficient_of_zero(self):
+        lc = upoly().leading_coefficient
+        assert lc == 0 and type(lc) is int
+
+
 class TestGcd:
     def test_shared_factor(self):
         assert univariate_gcd(upoly(-1, 0, 1), upoly(-1, 1)) == upoly(-1, 1)
