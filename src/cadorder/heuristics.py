@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
+from math import factorial, prod
 from typing import Iterable, Mapping, Sequence
 
 from .poly import PolySystem, Variable
@@ -73,7 +74,8 @@ def brown_candidates(system: PolySystem) -> list[VariableOrdering]:
     Variables are ranked ascending by their triples; a smaller triple is
     eliminated earlier.  Variables with identical triples are interchangeable,
     so each consistent elimination order yields one candidate tuple (written
-    in reverse order of elimination).
+    in reverse order of elimination).  Raises, before enumerating, when there
+    are more candidates than orderings of ``VARIABLE_CAP`` variables.
     """
     if not system.polynomials:
         raise ValueError("empty system")
@@ -81,6 +83,9 @@ def brown_candidates(system: PolySystem) -> list[VariableOrdering]:
     for v in system.variables:
         groups.setdefault(brown_triple(system, v), []).append(v)
     ordered_groups = [groups[t] for t in sorted(groups)]
+    count, cap = prod(factorial(len(g)) for g in ordered_groups), factorial(VARIABLE_CAP)
+    if count > cap:
+        raise ValueError(f"{count} Brown candidates exceed the enumeration cap of {cap}")
     out = []
     for arrangement in product(*(permutations(g) for g in ordered_groups)):
         elimination = [v for group in arrangement for v in group]

@@ -145,7 +145,7 @@ def best_pick_counts(
     of problems.
     """
     heuristics = sorted(picks)
-    problems = sorted(set.intersection(*(set(picks[h]) for h in heuristics)))
+    problems = sorted(set.intersection(*map(set, picks.values()))) if picks else []
     counts = {h: 0 for h in heuristics}
     for problem in problems:
         cells = [table.lookup(problem, picks[h][problem]).cells for h in heuristics]
@@ -198,7 +198,7 @@ def summarize(values: Sequence[Fraction]) -> SavingsSummary:
     """Exact mean, median and quartiles of a nonempty sample."""
     if not values:
         raise ValueError("empty input")
-    ordered = sorted(Fraction(v) for v in values)
+    ordered = sorted(values)
     mean = sum(ordered, Fraction(0)) / len(ordered)
     return SavingsSummary(
         mean_pct=mean,
@@ -249,7 +249,7 @@ def _heuristic_order(names) -> list[str]:
 def compute_report(table: CellCountTable, picks: Mapping[str, Picks]) -> BenchReport:
     """Join heuristic picks against the cell table and compute all statistics."""
     heuristics = _heuristic_order(picks)
-    problems = sorted(set.intersection(*(set(picks[h]) for h in heuristics)))
+    problems = sorted(set.intersection(*map(set, picks.values()))) if picks else []
     if not problems:
         raise CellTableError("no problems to report on")
     for h in heuristics:

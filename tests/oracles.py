@@ -2,8 +2,10 @@
 algorithms: the resultant is recomputed here as an explicit Sylvester-matrix
 determinant by division-free minor expansion, the graded-lex monomial order
 as a comparison of dense exponent vectors, the polynomial product by merging
-the exponents of every pair of terms, and the Sturm chain and the integer
-gcd by plain rational long division."""
+the exponents of every pair of terms, the Sturm chain and the integer gcd
+by plain rational long division, and the projection set of an ordering, with
+its sotd and ndrr values, from sympy's resultant, derivative, primitive part
+and real-root isolation."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from cadorder import Monomial, Polynomial, Variable
+from cadorder import Monomial, Polynomial, PolySystem, Variable
 
 
 def grlex_key(m: Monomial, var_order: tuple[Variable, ...]) -> tuple:
@@ -138,3 +140,62 @@ def textbook_sturm(coeffs: list[Fraction]) -> list[list[Fraction]]:
         if not r:
             return chain
         chain.append([-c for c in r])
+
+
+def sympy_projection(system: PolySystem, ordering: tuple[Variable, ...]) -> list[list]:
+    """The projection set of ``system`` under ``ordering`` as levels of sympy
+    ``Poly``s over the system's variables in name order, the input level
+    first, each level in no particular order.  Conventions, as documented in
+    cadorder: the last variable of the ordering is eliminated first; a step
+    keeps the members free of the eliminated variable v and adds, for the
+    others, every coefficient in v, the discriminant res(p, dp/dv) of those of
+    degree 2 or more, without division by the leading coefficient, and the
+    resultant of every pair; each member is made primitive with a positive
+    graded-lex leading coefficient, and constants and duplicates are dropped.
+    Resultants are only taken between operands of positive degree, so the
+    degree-0 conventions never arise, and the sign normalization makes
+    sympy's resultant sign convention irrelevant."""
+    import sympy
+
+    gens = [sympy.Symbol(v) for v in system.variables]  # name order
+
+    def reduce(exprs) -> list:
+        out = {}
+        for e in exprs:
+            p = sympy.Poly(e, *gens, domain="ZZ").primitive()[1]
+            if not p.is_ground:
+                out[p if p.LC(order="grlex") > 0 else -p] = None
+        return list(out)
+
+    inputs = [sympy.Add(*[c * sympy.Mul(*[sympy.Symbol(v) ** e for v, e in m.exps])
+                          for m, c in p.terms.items()]) for p in system.polynomials]
+    levels = [reduce(inputs)]
+    for v in reversed([sympy.Symbol(v) for v in ordering[1:]]):
+        exprs = [p.as_expr() for p in levels[-1]]
+        involving = [e for e in exprs if sympy.degree(e, v) > 0]
+        produced = [e for e in exprs if sympy.degree(e, v) == 0]
+        for e in involving:
+            produced += sympy.Poly(e, v).all_coeffs()
+            if sympy.degree(e, v) >= 2:
+                produced.append(sympy.resultant(e, sympy.diff(e, v), v))
+        for i, e in enumerate(involving):
+            produced += [sympy.resultant(e, f, v) for f in involving[i + 1:]]
+        levels.append(reduce(produced))
+    return levels
+
+
+def polynomial_of(p, variables: tuple[Variable, ...]) -> Polynomial:
+    """A sympy ``Poly`` over ``variables`` (in that order) as a Polynomial."""
+    return Polynomial({Monomial(zip(variables, es)): int(c) for es, c in p.terms()})
+
+
+def sympy_sotd(levels: list[list]) -> int:
+    """The total degrees of every monomial on every level, summed."""
+    return sum(sum(es) for level in levels for p in level for es in p.monoms())
+
+
+def sympy_ndrr(levels: list[list]) -> int:
+    """The distinct real roots of the level-1 members, by sympy's isolation."""
+    import sympy
+
+    return sum(len(sympy.Poly(p.as_expr()).intervals()) for p in levels[-1])

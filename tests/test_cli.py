@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import cadorder
+from cadorder import enumerate_orderings, format_ordering, parse_system
 from cadorder.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -305,3 +306,33 @@ def test_module_entry_point(demo_file):
     )
     assert proc.returncode == 0 and proc.stderr == ""
     assert "chosen: x>y>z" in proc.stdout
+
+
+@pytest.mark.parametrize("heuristic", ["brown", "all"])
+def test_brown_candidate_cap_exit_1(tmp_path, heuristic):
+    # 12 variables with equal Brown triples: 12! candidates, refused unenumerated
+    path = tmp_path / "twelve.poly"
+    path.write_text(" + ".join("abcdefghijkl") + "\n")
+    code, out, err = invoke(["analyze", str(path), "--heuristic", heuristic])
+    assert (code, out) == (1, "")
+    assert err == "cadorder: error: 479001600 Brown candidates exceed the enumeration cap of 5040\n"
+
+
+@pytest.mark.parametrize("problem", ["p1", "p2", "p3", "p4"])
+def test_pinned_output_bytes(problem):
+    """analyze --format text, orderings, and project at every ordering in
+    lexicographic order, concatenated, print exactly the bytes under
+    fixtures/cli; those were written before Polynomial stopped caching its
+    text, which reduce_level sorts each projection level by."""
+    path = FIXTURES / "problems" / f"{problem}.poly"
+    orderings = enumerate_orderings(parse_system(path.read_text()).variables)
+    argvs = {
+        "analyze": [["analyze", str(path), "--format", "text"]],
+        "orderings": [["orderings", str(path)]],
+        "project": [["project", str(path), "--order", format_ordering(o)] for o in orderings],
+    }
+    for command, runs in argvs.items():
+        results = [invoke(argv) for argv in runs]
+        assert all(code == 0 and err == "" for code, _, err in results)
+        text = "".join(out for _, out, _ in results)
+        assert text.encode("utf-8") == (FIXTURES / "cli" / f"{problem}.{command}.txt").read_bytes()

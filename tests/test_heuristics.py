@@ -68,6 +68,15 @@ class TestBrown:
     def test_single_variable(self):
         assert brown_candidates(PolySystem.make([X**2 + 1])) == [(x,)]
 
+    def test_candidate_cap(self):
+        def tied(n):  # v0 + ... + v(n-1): every triple equal, n! candidates
+            vs = [Polynomial.variable(Variable(f"v{i}")) for i in range(n)]
+            return PolySystem.make([sum(vs[1:], vs[0])])
+
+        assert len(brown_candidates(tied(7))) == 5040
+        with pytest.raises(ValueError, match="^40320 Brown candidates exceed the enumeration cap of 5040$"):
+            brown_candidates(tied(8))
+
     def test_scaling_invariance(self):
         rng = random.Random(41)
         for _ in range(50):

@@ -147,6 +147,9 @@ class TestBestPick:
             [("p1", "x>y", 20, 0), ("p1", "y>x", 30, 0)]
         )
 
+    def test_no_heuristics(self):
+        assert best_pick_counts(self.pick_table(), {}) == {}
+
     def test_two_way_tie(self):
         table = small_table([("p1", "x>y", 20, 0), ("p1", "y>x", 30, 0)])
         picks = {
@@ -284,6 +287,10 @@ class TestComputeReport:
         with pytest.raises(CellTableError, match="^no problems to report on$"):
             compute_report(SIX, picks)
 
+    def test_no_heuristics(self):
+        with pytest.raises(CellTableError, match="^no problems to report on$"):
+            compute_report(SIX, {})
+
 
 class TestSummarize:
     def test_interpolation_at_integer_positions(self):
@@ -305,6 +312,12 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             summarize([])
+
+    def test_ints_as_fractions(self):
+        ints = [40, -3, 10, 7, 7, 0]
+        s = summarize(ints)
+        assert s == summarize([Fraction(v) for v in ints])
+        assert all(type(v) is Fraction for v in (s.mean_pct, s.median_pct, s.q1_pct, s.q3_pct))
 
     def test_matches_statistics_module(self):
         data = [Fraction(3, 7), Fraction(-5), Fraction(12), Fraction(1, 3),
