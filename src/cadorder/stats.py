@@ -9,7 +9,9 @@ saving of each pick relative to the per-problem average over all orderings
 
 Orderings are handled as tuples of variable names here (a ``Variable`` is its
 name, so a chosen ordering joins as it is); the CSV wire format joins them
-with '>' in reverse-projection order (``x>y>z``).
+with '>' in reverse-projection order (``x>y>z``).  A table is read in one
+pass that also stores per-problem totals for the statistics to look up, and
+``summarize`` sorts by the exact key ``(numerator / denominator, value)``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from math import floor
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .poly import _int_of_digits
 
@@ -35,8 +37,7 @@ class CellTableError(ValueError):
     """Cell-count table fails validation or a pick does not join against it."""
 
 
-@dataclass(frozen=True)
-class CellCountRow:
+class CellCountRow(NamedTuple):
     problem_id: str
     ordering: Ordering
     cells: int | None  # None iff timeout
@@ -48,6 +49,8 @@ class CellCountTable:
     rows: tuple[CellCountRow, ...]
     # problem_id -> ordering -> row, built once by load_cell_table
     index: Mapping[str, Mapping[Ordering, CellCountRow]] = field(repr=False, compare=False)
+    # problem_id -> (number of orderings, total cells or None if one timed out)
+    totals: Mapping[str, tuple[int, int | None]] = field(repr=False, compare=False)
 
     def problems(self) -> list[str]:
         return sorted(self.index)
@@ -65,7 +68,7 @@ class CellCountTable:
         return row
 
     def has_timeout(self, problem_id: str) -> bool:
-        return any(r.timeout for r in self.rows_for(problem_id))
+        return self.totals.get(problem_id, (0, 0))[1] is None
 
 
 def load_cell_table(data: bytes | str) -> CellCountTable:
@@ -92,17 +95,20 @@ def load_cell_table(data: bytes | str) -> CellCountTable:
         )
     rows: list[CellCountRow] = []
     index: dict[str, dict[Ordering, CellCountRow]] = {}
+    checked: dict[str, Ordering] = {}  # ordering text -> its tuple, checked once
     for lineno, record in enumerate(reader, start=2):
         if not record:
             continue
         if len(record) != 4:
             raise CellTableError(f"line {lineno}: expected 4 fields")
         problem, ordering_text, cells_text, timeout_text = record
-        ordering = tuple(ordering_text.split(">"))
-        if not problem or "" in ordering:
-            raise CellTableError(f"line {lineno}: empty problem or ordering field")
-        if len(set(ordering)) != len(ordering):
-            raise CellTableError(f"line {lineno}: repeated variable in ordering {ordering_text!r}")
+        ordering = checked.get(ordering_text)
+        if ordering is None or not problem:  # a new text, or a row that fails anyway
+            ordering = checked[ordering_text] = tuple(ordering_text.split(">"))
+            if not problem or "" in ordering:
+                raise CellTableError(f"line {lineno}: empty problem or ordering field")
+            if len(set(ordering)) != len(ordering):
+                raise CellTableError(f"line {lineno}: repeated variable in ordering {ordering_text!r}")
         if timeout_text not in ("0", "1"):
             raise CellTableError(f"line {lineno}: timeout must be 0 or 1")
         timeout = timeout_text == "1"
@@ -125,14 +131,20 @@ def load_cell_table(data: bytes | str) -> CellCountTable:
                 f"line {lineno}: duplicate row for problem {problem!r}, "
                 f"ordering {ordering_text!r}"
             )
-        prows[ordering] = CellCountRow(problem, ordering, cells, timeout)
-        rows.append(prows[ordering])
+        prows[ordering] = row = CellCountRow(problem, ordering, cells, timeout)
+        rows.append(row)
 
+    expected: dict[Ordering, set[Ordering]] = {}  # sorted variables -> their permutations
+    totals: dict[str, tuple[int, int | None]] = {}
     for problem, prows in index.items():
-        variables = sorted(next(iter(prows)))
-        if set(prows) != {tuple(p) for p in permutations(variables)}:
+        variables = tuple(sorted(next(iter(prows))))
+        if variables not in expected:
+            expected[variables] = set(permutations(variables))
+        if prows.keys() != expected[variables]:
             raise CellTableError(f"incomplete orderings for problem {problem!r}")
-    return CellCountTable(tuple(rows), index)
+        cells = [r.cells for r in prows.values()]
+        totals[problem] = (len(cells), None if None in cells else sum(cells))
+    return CellCountTable(tuple(rows), index, totals)
 
 
 def best_pick_counts(
@@ -165,13 +177,13 @@ def savings_percent(table: CellCountTable, pick: Picks) -> dict[str, Fraction]:
     """
     out: dict[str, Fraction] = {}
     for problem in sorted(pick):
-        prows = table.rows_for(problem)
-        if not prows:
+        if problem not in table.totals:
             raise CellTableError(f"unknown problem {problem!r}")
-        if any(r.timeout for r in prows):
+        n, total = table.totals[problem]
+        if total is None:
             continue
-        total, cells = sum(r.cells for r in prows), table.lookup(problem, pick[problem]).cells
-        out[problem] = Fraction(100 * (total - len(prows) * cells), total)
+        cells = table.lookup(problem, pick[problem]).cells
+        out[problem] = Fraction(100 * (total - n * cells), total)
     return out
 
 
@@ -198,7 +210,10 @@ def summarize(values: Sequence[Fraction]) -> SavingsSummary:
     """Exact mean, median and quartiles of a nonempty sample."""
     if not values:
         raise ValueError("empty input")
-    ordered = sorted(values)
+    try:  # int true division rounds correctly: a monotone float, exact on ties
+        ordered = sorted(values, key=lambda x: (x.numerator / x.denominator, x))
+    except OverflowError:  # a value beyond the float range
+        ordered = sorted(values)
     mean = sum(ordered, Fraction(0)) / len(ordered)
     return SavingsSummary(
         mean_pct=mean,
@@ -211,13 +226,7 @@ def summarize(values: Sequence[Fraction]) -> SavingsSummary:
 
 def timeout_avoidance(table: CellCountTable, pick: Picks) -> int:
     """Among problems where some ordering timed out, how many picks finished."""
-    count = 0
-    for problem in sorted(pick):
-        if not table.has_timeout(problem):
-            continue
-        if not table.lookup(problem, pick[problem]).timeout:
-            count += 1
-    return count
+    return sum(not table.lookup(p, pick[p]).timeout for p in sorted(pick) if table.has_timeout(p))
 
 
 # -- report assembly ---------------------------------------------------------

@@ -106,8 +106,10 @@ def to_univariate(p: Polynomial, v: Variable) -> UnivariatePolynomial:
 
 
 def _int_coeffs(p: UnivariatePolynomial) -> list[int]:
-    """Coefficients scaled by a positive common denominator; the numerators
-    themselves when every denominator is 1."""
+    """The coefficients as they are when all are ints; else scaled by a
+    positive common denominator."""
+    if set(map(type, p.coefficients)) == {int}:
+        return list(p.coefficients)
     denom = lcm(*(c.denominator for c in p.coefficients))
     return [c.numerator * (denom // c.denominator) for c in p.coefficients]
 

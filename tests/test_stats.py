@@ -4,6 +4,7 @@ import json
 import statistics
 from fractions import Fraction
 from itertools import permutations
+from math import floor
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from cadorder import (
     CellTableError,
+    SavingsSummary,
     Variable,
     best_pick_counts,
     compute_report,
@@ -21,6 +23,7 @@ from cadorder import (
     summarize,
     timeout_avoidance,
 )
+from cadorder.stats import BenchReport, HeuristicStats
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -135,6 +138,20 @@ class TestLoad:
         with pytest.raises(CellTableError, match="line 2: repeated variable in ordering 'x>x'"):
             small_table([("p1", "x>x", 5, 0)])
 
+    @pytest.mark.parametrize("row, message", [
+        (("", "x>y", 6, 0), "line 3: empty problem or ordering field"),
+        (("p2", "x>y", 6, 2), "line 3: timeout must be 0 or 1"),
+        (("p2", "x>y", "", 0), "line 3: cells must be a positive integer"),
+        (("p1", "x>y", 6, 0), "line 3: duplicate row for problem 'p1', ordering 'x>y'"),
+        (("p2", "y>y", 6, 0), "line 3: repeated variable in ordering 'y>y'"),
+        (("p2", "y>", 6, 0), "line 3: empty problem or ordering field"),
+    ], ids=["seen-empty-problem", "seen-bad-timeout", "seen-no-cells", "seen-duplicate",
+            "new-repeated", "new-empty"])
+    def test_bad_row_after_valid_rows(self, row, message):
+        # line 2 is valid, so x>y was already checked once when line 3 is read
+        with pytest.raises(CellTableError, match=f"^{message}$"):
+            small_table([("p1", "x>y", 5, 0), row])
+
     @pytest.mark.parametrize("cells", ["\u00b2", "\u0663"], ids=["superscript-two", "arabic-indic-three"])
     def test_non_ascii_digit_cells(self, cells):
         with pytest.raises(CellTableError, match="line 3: cells must be a positive integer"):
@@ -201,19 +218,50 @@ def old_saving(table, problem, ordering):
 
 
 @st.composite
-def tables_and_picks(draw):
+def tables_and_picks(draw, n_picks=1):
     """A cell table of up to four problems over one to three variables, with
-    occasional timeouts, and one pick per problem."""
+    occasional timeouts, and n_picks picks per problem: (table, *picks)."""
     orderings = list(permutations("xyz"[: draw(st.integers(1, 3))]))
-    rows, pick = [], {}
+    rows, picks = [], [{} for _ in range(n_picks)]
     for i in range(draw(st.integers(1, 4))):
         for o in orderings:
             if draw(st.integers(0, 9)):
                 rows.append((f"p{i}", ">".join(o), draw(st.integers(1, 2**70)), 0))
             else:
                 rows.append((f"p{i}", ">".join(o), "", 1))
-        pick[f"p{i}"] = draw(st.sampled_from(orderings))
-    return small_table(rows), pick
+        for pick in picks:
+            pick[f"p{i}"] = draw(st.sampled_from(orderings))
+    return small_table(rows), *picks
+
+
+def plain_quantile(values, q):
+    """Linear interpolation at (n-1)*q of sorted(values), the reference for
+    summarize's exact sort key."""
+    ordered = sorted(values)
+    pos = (len(ordered) - 1) * q
+    lo = floor(pos)
+    hi = min(lo + 1, len(ordered) - 1)
+    return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
+
+
+def scan_report(table, picks):
+    """compute_report as a scan of rows_for per problem and a plain sort."""
+    problems = sorted(set.intersection(*map(set, picks.values())))
+    timed_out = {p for p in problems if any(r.timeout for r in table.rows_for(p))}
+    cells = {h: {p: table.lookup(p, picks[h][p]).cells for p in problems} for h in picks}
+    finished = [p for p in problems if all(cells[h][p] is not None for h in picks)]
+    per = {}
+    for h in picks:
+        best = sum(cells[h][p] == min(cells[g][p] for g in picks) for p in finished)
+        savings = [old_saving(table, p, picks[h][p]) for p in problems if p not in timed_out]
+        summary = savings and SavingsSummary(
+            sum(savings, Fraction(0)) / len(savings),
+            *(plain_quantile(savings, Fraction(k, 4)) for k in (2, 1, 3)),
+            len(savings),
+        )
+        avoided = sum(p in timed_out and cells[h][p] is not None for p in problems)
+        per[h] = HeuristicStats(best, Fraction(100 * best, len(problems)), summary or None, avoided)
+    return BenchReport(per, len(problems), len(problems) - len(timed_out), len(timed_out))
 
 
 class TestSavings:
@@ -291,6 +339,12 @@ class TestComputeReport:
         with pytest.raises(CellTableError, match="^no problems to report on$"):
             compute_report(SIX, {})
 
+    @given(tables_and_picks(n_picks=3))
+    def test_matches_a_scan_of_the_rows(self, table_and_picks):
+        table, *picks = table_and_picks
+        picks = dict(zip(("brown", "sotd", "ndrr"), picks))
+        assert compute_report(table, picks) == scan_report(table, picks)
+
 
 class TestSummarize:
     def test_interpolation_at_integer_positions(self):
@@ -318,6 +372,29 @@ class TestSummarize:
         s = summarize(ints)
         assert s == summarize([Fraction(v) for v in ints])
         assert all(type(v) is Fraction for v in (s.mean_pct, s.median_pct, s.q1_pct, s.q3_pct))
+
+    def test_float_ties_sort_exactly(self):
+        # the three values near 1 share the float key 1.0
+        eps = Fraction(1, 2**70)
+        values = [1 + eps, 2, Fraction(1), -1, 1 - eps, 0, 1 + eps, 1]
+        s = summarize(values)
+        assert (s.median_pct, s.q1_pct, s.q3_pct) == tuple(
+            plain_quantile(values, Fraction(k, 4)) for k in (2, 1, 3))
+        assert (s.q1_pct, s.q3_pct) == (Fraction(3, 4) * (1 - eps), 1 + eps)
+
+    def test_beyond_the_float_range(self):
+        s = summarize([Fraction(10**400), Fraction(-1), 3])
+        assert (s.median_pct, s.q1_pct, s.q3_pct) == (3, 1, Fraction(10**400 + 3, 2))
+
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-2**20, 2**20), st.integers(60, 80)),
+                    min_size=1, max_size=40))
+    def test_clustered_values_match_plain_sort(self, parts):
+        # c + d/2^k: large numerators whose floats often tie at c
+        values = [Fraction(c * 2**k + d, 2**k) for c, d, k in parts]
+        s = summarize(values)
+        assert (s.median_pct, s.q1_pct, s.q3_pct) == tuple(
+            plain_quantile(values, Fraction(k, 4)) for k in (2, 1, 3))
+        assert s.mean_pct == sum(values, Fraction(0)) / len(values)
 
     def test_matches_statistics_module(self):
         data = [Fraction(3, 7), Fraction(-5), Fraction(12), Fraction(1, 3),
@@ -348,6 +425,11 @@ class TestTimeoutAvoidance:
     def test_no_timeout_problems_excluded(self):
         table = small_table(self.TABLE_ROWS[2:])
         assert timeout_avoidance(table, {"p2": ("x", "y")}) == 0
+
+    def test_problem_absent_from_table(self):
+        table = small_table(self.TABLE_ROWS)
+        assert table.has_timeout("p9") is False
+        assert timeout_avoidance(table, {"p9": ("x", "y")}) == 0
 
 
 class TestFixtureRegression:

@@ -112,6 +112,16 @@ class TestSquarefree:
         with pytest.raises(ValueError):
             squarefree_part(upoly())
 
+    def test_rational_coefficients(self):
+        # (x-1)^2 / 2 is scaled to integers first
+        assert squarefree_part(upoly(Fraction(1, 2), -1, Fraction(1, 2))) == upoly(-1, 1)
+
+
+def test_int_coeffs():
+    assert _int_coeffs(upoly(3, -6, 9)) == [3, -6, 9]
+    assert _int_coeffs(upoly(Fraction(1, 2), 3, Fraction(-2, 3))) == [3, 18, -4]
+    assert _int_coeffs(upoly()) == []
+
 
 class TestCoprimeModP:
     """The gcd proves a pair coprime from its images modulo _P; these inputs
