@@ -10,8 +10,7 @@ saving of each pick relative to the per-problem average over all orderings
 Orderings are handled as tuples of variable names here (a ``Variable`` is its
 name, so a chosen ordering joins as it is); the CSV wire format joins them
 with '>' in reverse-projection order (``x>y>z``).  A table is read in one
-pass that also stores per-problem totals for the statistics to look up, and
-``summarize`` sorts by the exact key ``(numerator / denominator, value)``.
+pass and keeps per-problem totals; ``summarize`` sorts by an exact float key.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from math import floor
 from typing import Mapping, NamedTuple, Sequence
@@ -49,8 +49,12 @@ class CellCountTable:
     rows: tuple[CellCountRow, ...]
     # problem_id -> ordering -> row, built once by load_cell_table
     index: Mapping[str, Mapping[Ordering, CellCountRow]] = field(repr=False, compare=False)
-    # problem_id -> (number of orderings, total cells or None if one timed out)
-    totals: Mapping[str, tuple[int, int | None]] = field(repr=False, compare=False)
+
+    @cached_property
+    def totals(self) -> dict[str, tuple[int, int | None]]:
+        """problem_id -> (number of orderings, total cells or None if one timed out)."""
+        cells = {p: [r.cells for r in prows.values()] for p, prows in self.index.items()}
+        return {p: (len(c), None if None in c else sum(c)) for p, c in cells.items()}
 
     def problems(self) -> list[str]:
         return sorted(self.index)
@@ -135,16 +139,13 @@ def load_cell_table(data: bytes | str) -> CellCountTable:
         rows.append(row)
 
     expected: dict[Ordering, set[Ordering]] = {}  # sorted variables -> their permutations
-    totals: dict[str, tuple[int, int | None]] = {}
     for problem, prows in index.items():
         variables = tuple(sorted(next(iter(prows))))
         if variables not in expected:
             expected[variables] = set(permutations(variables))
         if prows.keys() != expected[variables]:
             raise CellTableError(f"incomplete orderings for problem {problem!r}")
-        cells = [r.cells for r in prows.values()]
-        totals[problem] = (len(cells), None if None in cells else sum(cells))
-    return CellCountTable(tuple(rows), index, totals)
+    return CellCountTable(tuple(rows), index)
 
 
 def best_pick_counts(
@@ -212,7 +213,7 @@ def summarize(values: Sequence[Fraction]) -> SavingsSummary:
         raise ValueError("empty input")
     try:  # int true division rounds correctly: a monotone float, exact on ties
         ordered = sorted(values, key=lambda x: (x.numerator / x.denominator, x))
-    except OverflowError:  # a value beyond the float range
+    except (OverflowError, AttributeError):  # beyond the float range, or not rational
         ordered = sorted(values)
     mean = sum(ordered, Fraction(0)) / len(ordered)
     return SavingsSummary(
@@ -226,7 +227,13 @@ def summarize(values: Sequence[Fraction]) -> SavingsSummary:
 
 def timeout_avoidance(table: CellCountTable, pick: Picks) -> int:
     """Among problems where some ordering timed out, how many picks finished."""
-    return sum(not table.lookup(p, pick[p]).timeout for p in sorted(pick) if table.has_timeout(p))
+    count = 0
+    for problem in sorted(pick):
+        if not table.has_timeout(problem):
+            continue
+        if not table.lookup(problem, pick[problem]).timeout:
+            count += 1
+    return count
 
 
 # -- report assembly ---------------------------------------------------------

@@ -106,10 +106,8 @@ def to_univariate(p: Polynomial, v: Variable) -> UnivariatePolynomial:
 
 
 def _int_coeffs(p: UnivariatePolynomial) -> list[int]:
-    """The coefficients as they are when all are ints; else scaled by a
-    positive common denominator."""
-    if set(map(type, p.coefficients)) == {int}:
-        return list(p.coefficients)
+    """Coefficients scaled by a positive common denominator; the numerators
+    themselves when every denominator is 1."""
     denom = lcm(*(c.denominator for c in p.coefficients))
     return [c.numerator * (denom // c.denominator) for c in p.coefficients]
 

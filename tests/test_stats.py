@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cadorder import (
+    CellCountTable,
     CellTableError,
     SavingsSummary,
     Variable,
@@ -70,6 +71,14 @@ class TestLoad:
     def test_six_rows_one_problem(self):
         assert SIX.problems() == ["p1"]
         assert len(SIX.rows) == 6
+
+    def test_table_from_rows_and_index(self):
+        # the constructor takes rows and index; the per-problem totals follow from the index
+        table = small_table([("p1", "x>y", 5, 0), ("p1", "y>x", "", 1), ("p2", "x", 7, 0)])
+        built = CellCountTable(table.rows, table.index)
+        assert built == table
+        assert built.totals == {"p1": (2, None), "p2": (1, 7)}
+        assert built.has_timeout("p1") and not built.has_timeout("p2")
 
     def test_timeout_row_with_empty_cells(self):
         table = small_table([("p1", "x>y", 5, 0), ("p1", "y>x", "", 1)])
@@ -381,6 +390,10 @@ class TestSummarize:
         assert (s.median_pct, s.q1_pct, s.q3_pct) == tuple(
             plain_quantile(values, Fraction(k, 4)) for k in (2, 1, 3))
         assert (s.q1_pct, s.q3_pct) == (Fraction(3, 4) * (1 - eps), 1 + eps)
+
+    def test_floats_sort_plainly(self):
+        # a float has no numerator, so it takes the plain sort
+        assert summarize([2.5, 1.5]) == SavingsSummary(2.0, 2.0, 1.75, 2.25, 2)
 
     def test_beyond_the_float_range(self):
         s = summarize([Fraction(10**400), Fraction(-1), 3])
