@@ -53,36 +53,30 @@ def _read_system(path: str) -> PolySystem:
 def _cmd_analyze(args, out) -> int:
     system = _read_system(args.file)
     names = HEURISTICS if args.heuristic == "all" else (args.heuristic,)
-    reports = [choose(system, h) for h in names]
+    records = []
+    for h in names:
+        r = choose(system, h)  # per_ordering, if any, is in tuple order
+        records.append({
+            "heuristic": r.heuristic,
+            "per_ordering": (
+                None
+                if r.per_ordering is None
+                else {format_ordering(o): v for o, v in r.per_ordering.items()}
+            ),
+            "candidates": [format_ordering(c) for c in r.candidates],
+            "chosen": format_ordering(r.chosen),
+        })
     if args.format == "json":
-        payload = {
-            "heuristics": [
-                {
-                    "heuristic": r.heuristic,
-                    "per_ordering": (
-                        None
-                        if r.per_ordering is None
-                        else {
-                            format_ordering(o): v
-                            for o, v in sorted(r.per_ordering.items())
-                        }
-                    ),
-                    "candidates": [format_ordering(c) for c in r.candidates],
-                    "chosen": format_ordering(r.chosen),
-                }
-                for r in reports
-            ]
-        }
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        out.write(json.dumps({"heuristics": records}, indent=2, sort_keys=True) + "\n")
     else:
-        for r in reports:
-            out.write(f"heuristic {r.heuristic}\n")
-            if r.per_ordering is not None:
+        for r in records:
+            out.write(f"heuristic {r['heuristic']}\n")
+            if r["per_ordering"] is not None:
                 out.write("  per-ordering:\n")
-                for o in sorted(r.per_ordering):
-                    out.write(f"    {format_ordering(o)}: {r.per_ordering[o]}\n")
-            out.write("  candidates: " + ", ".join(format_ordering(c) for c in r.candidates) + "\n")
-            out.write(f"  chosen: {format_ordering(r.chosen)}\n")
+                for o, v in r["per_ordering"].items():
+                    out.write(f"    {o}: {v}\n")
+            out.write("  candidates: " + ", ".join(r["candidates"]) + "\n")
+            out.write(f"  chosen: {r['chosen']}\n")
     return EXIT_OK
 
 

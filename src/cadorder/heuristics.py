@@ -11,7 +11,7 @@ ordering tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import factorial, prod
 from typing import Iterable, Mapping, Sequence
 
@@ -38,7 +38,7 @@ class BrownTriple:
 @dataclass(frozen=True)
 class HeuristicReport:
     heuristic: str
-    per_ordering: Mapping[VariableOrdering, int] | None  # sotd/ndrr only
+    per_ordering: Mapping[VariableOrdering, int] | None  # sotd/ndrr only, tuple order
     candidates: tuple[VariableOrdering, ...]
     chosen: VariableOrdering
 
@@ -50,7 +50,7 @@ def enumerate_orderings(variables: Sequence[Variable]) -> list[VariableOrdering]
         raise ValueError("no variables to order")
     if n > VARIABLE_CAP:
         raise ValueError(f"{n} variables exceed the enumeration cap of {VARIABLE_CAP}")
-    return [tuple(p) for p in permutations(sorted(variables))]
+    return list(permutations(sorted(variables)))
 
 
 def brown_triple(system: PolySystem, v: Variable) -> BrownTriple:
@@ -60,9 +60,10 @@ def brown_triple(system: PolySystem, v: Variable) -> BrownTriple:
     crit2 = 0
     crit3 = 0
     for p in system.polynomials:
-        crit1 = max(crit1, p.degree_in(v))
         for m in p.terms:
-            if m.degree_in(v) > 0:
+            d = m.degree_in(v)
+            if d > 0:
+                crit1 = max(crit1, d)
                 crit2 = max(crit2, m.total_degree)
                 crit3 += 1
     return BrownTriple(crit1, crit2, crit3)
@@ -74,8 +75,9 @@ def brown_candidates(system: PolySystem) -> list[VariableOrdering]:
     Variables are ranked ascending by their triples; a smaller triple is
     eliminated earlier.  Variables with identical triples are interchangeable,
     so each consistent elimination order yields one candidate tuple (written
-    in reverse order of elimination).  Raises, before enumerating, when there
-    are more candidates than orderings of ``VARIABLE_CAP`` variables.
+    in reverse order of elimination), so the last-eliminated group comes
+    first.  Raises, before enumerating, when there are more candidates than
+    orderings of ``VARIABLE_CAP`` variables.
     """
     if not system.polynomials:
         raise ValueError("empty system")
@@ -86,11 +88,9 @@ def brown_candidates(system: PolySystem) -> list[VariableOrdering]:
     count, cap = prod(factorial(len(g)) for g in ordered_groups), factorial(VARIABLE_CAP)
     if count > cap:
         raise ValueError(f"{count} Brown candidates exceed the enumeration cap of {cap}")
-    out = []
-    for arrangement in product(*(permutations(g) for g in ordered_groups)):
-        elimination = [v for group in arrangement for v in group]
-        out.append(tuple(reversed(elimination)))
-    return sorted(out)
+    # fixed-length blocks, each permuted in lexicographic order: the product is too
+    blocks = product(*(permutations(sorted(g)) for g in reversed(ordered_groups)))
+    return [tuple(chain.from_iterable(arrangement)) for arrangement in blocks]
 
 
 def sotd_value(ps: ProjectionSet) -> int:

@@ -25,6 +25,7 @@ from itertools import permutations
 from math import floor
 from typing import Mapping, NamedTuple, Sequence
 
+from .heuristics import HEURISTICS
 from .poly import _int_of_digits
 
 CSV_HEADER = ["problem", "ordering", "cells", "timeout"]
@@ -256,9 +257,8 @@ class BenchReport:
 
 
 def _heuristic_order(names) -> list[str]:
-    canonical = ["brown", "sotd", "ndrr"]
-    return [h for h in canonical if h in names] + sorted(
-        h for h in names if h not in canonical
+    return [h for h in HEURISTICS if h in names] + sorted(
+        h for h in names if h not in HEURISTICS
     )
 
 
@@ -268,12 +268,9 @@ def compute_report(table: CellCountTable, picks: Mapping[str, Picks]) -> BenchRe
     problems = sorted(set.intersection(*map(set, picks.values()))) if picks else []
     if not problems:
         raise CellTableError("no problems to report on")
-    for h in heuristics:
-        for problem in problems:
-            table.lookup(problem, picks[h][problem])  # validates the join
+    best = best_pick_counts(table, picks)  # looks up every pick: validates the join
     n_some_timeout = sum(1 for p in problems if table.has_timeout(p))
     n_no_timeout = len(problems) - n_some_timeout
-    best = best_pick_counts(table, picks)
     per: dict[str, HeuristicStats] = {}
     for h in heuristics:
         pick = {p: picks[h][p] for p in problems}

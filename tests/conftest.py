@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import os
 import random
+import warnings
+from contextlib import suppress
 
 from hypothesis import settings
 
@@ -17,6 +19,17 @@ from cadorder import Monomial, Polynomial, PolySystem, Variable
 settings.register_profile("ci", derandomize=True, print_blob=True)
 if os.environ.get("CI"):
     settings.load_profile("ci")
+
+# Hypothesis's pytest plugin imports hypothesis.extra._patching to report a
+# failing property.  That imports libcst, whose import of mypy_extensions.TypedDict
+# raises a DeprecationWarning; under -W error the report then ends in an
+# INTERNALERROR that hides the falsifying example and every later result.
+# Importing the module once here, with that warning ignored, leaves it loaded
+# for the plugin.  Without libcst the plugin skips the report on ImportError.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    with suppress(ImportError):
+        import hypothesis.extra._patching  # noqa: F401
 
 
 def random_polynomial(

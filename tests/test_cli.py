@@ -320,19 +320,22 @@ def test_brown_candidate_cap_exit_1(tmp_path, heuristic):
 
 @pytest.mark.parametrize("problem", ["p1", "p2", "p3", "p4"])
 def test_pinned_output_bytes(problem):
-    """analyze --format text, orderings, and project at every ordering in
-    lexicographic order, concatenated, print exactly the bytes under
-    fixtures/cli; those were written before Polynomial stopped caching its
-    text, which reduce_level sorts each projection level by."""
+    """analyze --format text and json, orderings, and project at every
+    ordering in lexicographic order, concatenated, print exactly the bytes
+    under fixtures/cli; the text files were written before Polynomial stopped
+    caching its text, which reduce_level sorts each projection level by, and
+    the json files before analyze built one record per heuristic for both
+    formats."""
     path = FIXTURES / "problems" / f"{problem}.poly"
     orderings = enumerate_orderings(parse_system(path.read_text()).variables)
     argvs = {
-        "analyze": [["analyze", str(path), "--format", "text"]],
-        "orderings": [["orderings", str(path)]],
-        "project": [["project", str(path), "--order", format_ordering(o)] for o in orderings],
+        "analyze.txt": [["analyze", str(path), "--format", "text"]],
+        "analyze.json": [["analyze", str(path), "--format", "json"]],
+        "orderings.txt": [["orderings", str(path)]],
+        "project.txt": [["project", str(path), "--order", format_ordering(o)] for o in orderings],
     }
-    for command, runs in argvs.items():
+    for name, runs in argvs.items():
         results = [invoke(argv) for argv in runs]
         assert all(code == 0 and err == "" for code, _, err in results)
         text = "".join(out for _, out, _ in results)
-        assert text.encode("utf-8") == (FIXTURES / "cli" / f"{problem}.{command}.txt").read_bytes()
+        assert text.encode("utf-8") == (FIXTURES / "cli" / f"{problem}.{name}").read_bytes()

@@ -1,9 +1,13 @@
 import random
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cadorder import (
     BrownTriple,
+    Monomial,
     Polynomial,
     PolySystem,
     ProjectionSet,
@@ -88,6 +92,54 @@ class TestBrown:
             for v in system.variables:
                 assert brown_triple(system, v) == brown_triple(scaled, v)
             assert brown_candidates(system) == brown_candidates(scaled)
+
+
+@st.composite
+def tied_systems(draw):
+    """Systems whose variables fall into tie groups of sizes 1-4, at most 7
+    variables in all, named in no particular order.  Every variable of a
+    group gets the group's terms v^e with the same coefficients, so its Brown
+    triple is the group's; two groups may still tie with each other."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(lambda s: sum(s) <= 7))
+    names = draw(st.permutations([f"v{i}" for i in range(sum(sizes))]))
+    polys = []
+    for size in sizes:
+        group, names = names[:size], names[size:]
+        exps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True))
+        coeffs = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=len(exps), max_size=len(exps)))
+        terms = {Monomial({Variable(v): e}): c for v in group for e, c in zip(exps, coeffs)}
+        polys.append(Polynomial(terms))
+    return PolySystem.make(polys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=tied_systems())
+def test_brown_candidates_match_sorted_reversed_eliminations(system):
+    """The candidates are exactly the sorted list of every elimination order,
+    each group arranged every way, written in reverse."""
+    groups: dict[BrownTriple, list[Variable]] = {}
+    for v in system.variables:
+        groups.setdefault(brown_triple(system, v), []).append(v)
+    arrangements = product(*(permutations(groups[t]) for t in sorted(groups)))
+    expected = sorted(tuple(reversed([v for g in a for v in g])) for a in arrangements)
+    assert brown_candidates(system) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=tied_systems(), seed=st.integers(0, 2**32 - 1))
+def test_brown_triple_matches_two_pass_definition(system, seed):
+    """crit1 is the largest degree in v of any polynomial, crit2 and crit3 the
+    largest total degree and the number of the terms that contain v; checked
+    on a tied system and on a random one."""
+    rng = random.Random(seed)
+    for case in (system, random_system(rng, rng.randint(1, 4), rng.randint(1, 3))):
+        for v in case.variables:
+            terms = [m for p in case.polynomials for m in p.terms if m.degree_in(v) > 0]
+            assert brown_triple(case, v) == BrownTriple(
+                max(p.degree_in(v) for p in case.polynomials),
+                max((m.total_degree for m in terms), default=0),
+                len(terms),
+            )
 
 
 class TestMetrics:
