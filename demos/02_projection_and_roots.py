@@ -1,5 +1,6 @@
 """Show what the metric heuristics actually compute: the projection levels
-behind sotd, and the Sturm-based root counts behind ndrr."""
+behind sotd, and the root counts behind ndrr, where Descartes bisection races
+Sturm's theorem on the squarefree part and the first to finish gives the count."""
 
 from cadorder import (
     Variable,
@@ -25,7 +26,7 @@ for ordering in [(y, x), (x, y)]:
     print("    sotd =", sotd_value(ps), " ndrr =", ndrr_value(ps))
     print()
 
-# The Sturm chain behind a root count: x^2 - 2 has two real roots, and the
+# The Sturm side of that race: x^2 - 2 has two real roots, and the
 # chain's sign variations at -inf and +inf differ by exactly 2.
 u = to_univariate(parse_system("x^2 - 2").polynomials[0], Variable("x"))
 print("Sturm chain of x^2 - 2:")

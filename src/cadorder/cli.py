@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .heuristics import HEURISTICS, choose, enumerate_orderings, ndrr_value, sotd_value
+from .heuristics import HEURISTICS, choose, ndrr_value, projections, sotd_value
 from .parsing import ParseError, parse_system, render
 from .poly import PolySystem
 from .projection import format_ordering, full_projection, parse_ordering
@@ -82,14 +82,9 @@ def _cmd_analyze(args, out) -> int:
 
 def _cmd_orderings(args, out) -> int:
     system = _read_system(args.file)
-    orderings = enumerate_orderings(system.variables)
-    rows = []
-    for o in orderings:
-        ps = full_projection(system, o)
-        rows.append((format_ordering(o), sotd_value(ps), ndrr_value(ps)))
+    rows = [(format_ordering(ps.ordering), sotd_value(ps), ndrr_value(ps)) for ps in projections(system)]
     width = max(len(r[0]) for r in rows)
-    out.write(f"{'ordering':<{width}}  {'sotd':>6}  {'ndrr':>6}\n")
-    for name, sotd, ndrr in rows:
+    for name, sotd, ndrr in [("ordering", "sotd", "ndrr"), *rows]:
         out.write(f"{name:<{width}}  {sotd:>6}  {ndrr:>6}\n")
     return EXIT_OK
 

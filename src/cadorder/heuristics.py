@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, permutations, product
 from math import factorial, prod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .poly import PolySystem, Variable
 from .projection import ProjectionSet, VariableOrdering, full_projection
@@ -51,6 +51,13 @@ def enumerate_orderings(variables: Sequence[Variable]) -> list[VariableOrdering]
     if n > VARIABLE_CAP:
         raise ValueError(f"{n} variables exceed the enumeration cap of {VARIABLE_CAP}")
     return list(permutations(sorted(variables)))
+
+
+def projections(system: PolySystem) -> Iterator[ProjectionSet]:
+    """The full projection of the system under each ordering of
+    `enumerate_orderings`, in tuple order, built one at a time."""
+    for ordering in enumerate_orderings(system.variables):
+        yield full_projection(system, ordering)
 
 
 def brown_triple(system: PolySystem, v: Variable) -> BrownTriple:
@@ -133,10 +140,7 @@ def choose(system: PolySystem, heuristic: str) -> HeuristicReport:
         candidates = tuple(brown_candidates(system))
         return HeuristicReport("brown", None, candidates, lex_tiebreak(candidates))
     metric = sotd_value if heuristic == "sotd" else ndrr_value
-    per_ordering = {
-        ordering: metric(full_projection(system, ordering))
-        for ordering in enumerate_orderings(system.variables)
-    }
+    per_ordering = {ps.ordering: metric(ps) for ps in projections(system)}
     best = min(per_ordering.values())
     candidates = tuple(o for o, val in per_ordering.items() if val == best)
     return HeuristicReport(heuristic, per_ordering, candidates, lex_tiebreak(candidates))

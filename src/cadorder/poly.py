@@ -34,7 +34,7 @@ at the top of each field.  No field can overflow into the next, so
   the difference is set: an exponent of j larger than k's borrows, and the
   borrow sets the guard bit of the lowest such field.
 
-A pseudo-remainder over Polynomial coefficients whose operands have more than
+A pseudo-remainder in ``resultant`` whose operands have more than
 ``_LOOP_MAX_TERMS`` terms in all runs by Kronecker substitution (von zur
 Gathen and Gerhard, *Modern Computer Algebra*, 8.4).  Each coefficient of a
 and b, a polynomial in the other variables, becomes one int, its value at
@@ -477,9 +477,9 @@ def _trim(coeffs: list) -> list:
     return coeffs
 
 
-# Pseudo-remainders over Polynomial coefficients keep the loop when their
-# operands have at most this many terms in all, and substitute
-# (`_kronecker_prem`) otherwise.  On the
+# `resultant` keeps the loop of `_prem` when its pseudo-remainder's operands
+# have at most this many terms in all, and substitutes (`_kronecker_prem`)
+# otherwise.  On the
 # benchmark's harvested calls (2-core Xeon, Python 3.11), substitution took
 # 1.6-1.9x the loop's time at up to 4 terms and 1.2-1.3x at 5-10, and 0.7-0.8x
 # at 11-14 and 0.4-0.6x beyond; 28 k of corpus's 30 k calls have at most 10.
@@ -551,18 +551,11 @@ def _prem(a: list, b: list, modulus: int | None = None) -> list:
     each of da - db + 1 steps pops the leading coefficient, scales the rest
     by lc(b), unless lc(b) is 1, and subtracts the popped one times
     x^k * b[:-1].  Coefficients may be Polynomials (resultants), ints or
-    Fractions (gcd, Sturm chains).  Polynomial operands of more than
-    ``_LOOP_MAX_TERMS`` terms in all go through `_kronecker_prem`,
-    unless their degree box is too sparse.  With a modulus the popped
+    Fractions (gcd, Sturm chains); `resultant` picks between this loop and
+    Kronecker substitution for Polynomial ones.  With a modulus the popped
     coefficient is reduced at every step and the remainder at the end, so by
     a monic b this is the remainder over GF(modulus)."""
     lc, tail = b[-1], b[:-1]
-    if isinstance(lc, Polynomial):
-        terms = sum([len(c._terms) for c in a]) + sum([len(c._terms) for c in b])
-        if terms > _LOOP_MAX_TERMS:
-            r = _kronecker_prem(a, b, _KRONECKER_SLOTS_PER_TERM * terms)
-            if r is not None:
-                return r
     scale = lc not in (1, _ONE)  # two tests, as a Polynomial never equals an int
     r = list(a)
     for k in range(len(a) - len(b), -1, -1):
@@ -605,7 +598,10 @@ def resultant(p: Polynomial, q: Polynomial, v: Variable) -> Polynomial:
         delta = da - db
         if da % 2 == 1 and db % 2 == 1:
             sign = -sign
-        r = _prem(a, b)
+        terms = sum([len(c._terms) for c in a]) + sum([len(c._terms) for c in b])
+        r = _kronecker_prem(a, b, _KRONECKER_SLOTS_PER_TERM * terms) if terms > _LOOP_MAX_TERMS else None
+        if r is None:  # small operands, or a degree box too sparse to substitute
+            r = _prem(a, b)
         a = b
         denom = g * h**delta
         b = [exact_div(c, denom) for c in r]

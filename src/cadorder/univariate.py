@@ -348,7 +348,5 @@ def count_distinct_real_roots(p: UnivariatePolynomial) -> int:
     Sturm's theorem on the squarefree part."""
     if p.is_zero():
         raise ValueError("identically zero has infinitely many roots")
-    if p.degree == 0:
-        return 0
     sf = list(squarefree_part(p).coefficients)
     return _race(_descartes(sf), _sturm(sf))

@@ -318,6 +318,26 @@ def test_brown_candidate_cap_exit_1(tmp_path, heuristic):
     assert err == "cadorder: error: 479001600 Brown candidates exceed the enumeration cap of 5040\n"
 
 
+def test_orderings_rows_match_the_corpus_goldens():
+    """Each `orderings` row of every benchmark corpus system reads the sotd and
+    ndrr values that the system's golden `analyze --heuristic all --format
+    json` output gives that ordering: both commands walk the orderings of
+    `heuristics.projections`.  All 164 files, about 3 s on 2 cores."""
+    corpus = Path(__file__).parents[1] / "perfbench" / "data" / "corpus"
+    golden = json.loads((corpus.parent / "golden" / "corpus.json").read_text())
+    paths = sorted(corpus.glob("*.poly"))
+    assert len(paths) == len(golden)
+    for path in paths:
+        values = {r["heuristic"]: r["per_ordering"] for r in json.loads(golden[path.stem])["heuristics"]}
+        code, out, err = invoke(["orderings", str(path)])
+        assert (code, err) == (0, "")
+        header, *rows = [line.split() for line in out.splitlines()]
+        assert header == ["ordering", "sotd", "ndrr"]
+        assert {o: (int(s), int(n)) for o, s, n in rows} == {
+            o: (v, values["ndrr"][o]) for o, v in values["sotd"].items()
+        }, path.name
+
+
 @pytest.mark.parametrize("problem", ["p1", "p2", "p3", "p4"])
 def test_pinned_output_bytes(problem):
     """analyze --format text and json, orderings, and project at every

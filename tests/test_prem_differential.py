@@ -9,22 +9,21 @@ resultant's subresultant sequence.  Many operands have zero coefficients
 below the leading one, so the remainder's degree often falls by two or more
 in one step.
 
-Polynomial operands of more than ``_LOOP_MAX_TERMS`` terms take the
-Kronecker-substituted path, ``_kronecker_prem``; the tests call it directly,
-or switch it off, so that each path is checked on both sides of the cutoff.
+``resultant`` substitutes, through ``_kronecker_prem``, when its operands
+have more than ``_LOOP_MAX_TERMS`` terms in all, and runs the loop of
+``_prem`` otherwise; the tests call both paths directly, so that each is
+checked on both sides of the cutoff.
 """
 
-import math
 import random
 import sys
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cadorder import Monomial, Polynomial, Variable, poly
+from cadorder import Monomial, Polynomial, Variable, poly, resultant
 from cadorder.poly import _KRONECKER_SLOTS_PER_TERM, _LOOP_MAX_TERMS, _kronecker_prem, _prem
 from conftest import random_polynomial
 
@@ -47,18 +46,20 @@ def to_sympy(coeffs):
     return sympy.Add(*[coefficient_to_sympy(c) * X**i for i, c in enumerate(coeffs)])
 
 
-def loop_prem(a, b):
-    """``_prem`` with the Kronecker path switched off."""
-    with mock.patch.object(poly, "_LOOP_MAX_TERMS", math.inf):
-        return _prem(a, b)
-
-
 def assert_matches_sympy(a, b, prem=_prem):
     expected = sympy.prem(to_sympy(a), to_sympy(b), X)
     got = prem(a, b)
     assert not got or got[-1], "the remainder is not trimmed"
     assert len(got) < len(b)
     assert sympy.expand(to_sympy(got) - expected) == 0
+
+
+def assert_resultant_matches_sympy(a, b):
+    """``resultant`` of the polynomials in x with coefficient lists a and b."""
+    v = Variable("x")
+    p, q = (sum((c * Polynomial.variable(v) ** i for i, c in enumerate(coeffs)), ZERO) for coeffs in (a, b))
+    expected = sympy.resultant(to_sympy(a), to_sympy(b), X)
+    assert sympy.expand(coefficient_to_sympy(resultant(p, q, v)) - expected) == 0
 
 
 def sparse_list(rng, degree, coefficient, zero):
@@ -160,7 +161,7 @@ class TestKroneckerPath:
         for _ in range(50):
             a, b = polynomial_lists(rng, rng.randint(1, 8), (6, 3))
             sides.add(terms(a, b) > _LOOP_MAX_TERMS)
-            for prem in (_prem, _kronecker_prem, loop_prem):
+            for prem in (_prem, _kronecker_prem):
                 assert_matches_sympy(a, b, prem)
         assert sides == {False, True}
 
@@ -169,12 +170,12 @@ class TestKroneckerPath:
         monkeypatch.setattr(poly, "_kronecker_prem", lambda a, b, cap: calls.append(cap) or _kronecker_prem(a, b, cap))
         small = ([Y, Z, Y * Z + 1], [Y - 2, Z + 1])
         assert terms(*small) == _LOOP_MAX_TERMS - 2
-        assert_matches_sympy(*small)
+        assert_resultant_matches_sympy(*small)
         assert calls == []
         large = ([Y**2 + Z, Y * Z - 3, Y + Z + 1, Z**2 - Y], [Y * Z + 2, Y - Z + 5])
         assert terms(*large) > _LOOP_MAX_TERMS
-        assert_matches_sympy(*large)
-        assert calls == [_KRONECKER_SLOTS_PER_TERM * terms(*large)]
+        assert_resultant_matches_sympy(*large)
+        assert calls[0] == _KRONECKER_SLOTS_PER_TERM * terms(*large)
 
     @pytest.mark.parametrize("bits", [7, 8, 15, 16, 63, 64])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -204,7 +205,7 @@ class TestKroneckerPath:
         assert _kronecker_prem(a, b) == [] == _prem(a, b)
         a = [ZERO, Y + 1, ZERO, ZERO, Z * Y - 4]
         assert_matches_sympy(a, b, _kronecker_prem)
-        assert _kronecker_prem([ZERO, ZERO, Y], [Z, ONE]) == loop_prem([ZERO, ZERO, Y], [Z, ONE])
+        assert _kronecker_prem([ZERO, ZERO, Y], [Z, ONE]) == _prem([ZERO, ZERO, Y], [Z, ONE])
 
     def test_variable_present_only_in_b(self):
         a = [Y**2 + 3, Y - 1, 2 * Y, Y**3 + Y]
@@ -222,18 +223,15 @@ class TestKroneckerPath:
     def test_unit_leading_coefficient(self, unit):
         a = [Y**2 - Z, 3 * Y * Z, Z - 1, Y + Z**2]
         b = [Y * Z + 2, Z - Y, Polynomial.constant(unit)]
-        for prem in (_prem, _kronecker_prem, loop_prem):
+        for prem in (_prem, _kronecker_prem):
             assert_matches_sympy(a, b, prem)
 
-    def test_sparse_high_degree_operand_takes_the_loop(self, monkeypatch):
-        results = []
-        monkeypatch.setattr(poly, "_kronecker_prem",
-                            lambda a, b, cap: results.append(_kronecker_prem(a, b, cap)) or results[-1])
+    def test_sparse_high_degree_operand_takes_the_loop(self):
         a = [Y**200 * Z**150 + k * Y + Z**3 - k for k in range(4)]
         b = [Z**90 - Y**100 + 1, Y * Z + 5, Y**40 + Z**40]
         assert terms(a, b) > _LOOP_MAX_TERMS
+        assert _kronecker_prem(a, b, _KRONECKER_SLOTS_PER_TERM * terms(a, b)) is None
         assert_matches_sympy(a, b)
-        assert results == [None]
 
     def test_kronecker_equals_the_loop_under_a_low_digit_limit(self):
         # the substituted ints pass 640 decimal digits; no path converts one
@@ -246,7 +244,7 @@ class TestKroneckerPath:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
-            assert _kronecker_prem(a, b) == loop_prem(a, b)
+            assert _kronecker_prem(a, b) == _prem(a, b)
         finally:
             sys.set_int_max_str_digits(limit)
         assert_matches_sympy(a, b, _kronecker_prem)
@@ -272,7 +270,7 @@ class TestKroneckerProperty:
     @settings(max_examples=150, deadline=None)
     @given(a=coefficient_lists(0, 6), b=coefficient_lists(1, 4))
     def test_kronecker_equals_the_loop(self, a, b):
-        assert _kronecker_prem(a, b) == loop_prem(a, b)
+        assert _kronecker_prem(a, b) == _prem(a, b)
 
 
 class TestUnitLeadingCoefficient:

@@ -260,6 +260,8 @@ class TestRootCounting:
             ((1, 0, 1), 0),  # x^2 + 1
             ((1, -2, 1), 1),  # (x - 1)^2
             ((7,), 0),
+            ((-7,), 0),
+            ((Fraction(1, 2),), 0),
         ],
     )
     def test_known_counts(self, coeffs, expected):
