@@ -2,7 +2,7 @@
 
 Subcommands: analyze, orderings, project, roots, bench.  Exit codes: 0 on
 success, 1 for usage errors, 2 for parse errors, 3 for data-consistency
-errors in the cell-count table.
+errors in the cell-count table; `run` sets every one of them.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def _read_system(path: str) -> PolySystem:
         raise ParseError(f"{path}: {exc.reason}", exc.line, exc.col) from None
 
 
-def _cmd_analyze(args, out) -> int:
+def _cmd_analyze(args, out) -> None:
     system = _read_system(args.file)
     names = HEURISTICS if args.heuristic == "all" else (args.heuristic,)
     records = []
@@ -77,19 +77,17 @@ def _cmd_analyze(args, out) -> int:
                     out.write(f"    {o}: {v}\n")
             out.write("  candidates: " + ", ".join(r["candidates"]) + "\n")
             out.write(f"  chosen: {r['chosen']}\n")
-    return EXIT_OK
 
 
-def _cmd_orderings(args, out) -> int:
+def _cmd_orderings(args, out) -> None:
     system = _read_system(args.file)
     rows = [(format_ordering(ps.ordering), sotd_value(ps), ndrr_value(ps)) for ps in projections(system)]
     width = max(len(r[0]) for r in rows)
     for name, sotd, ndrr in [("ordering", "sotd", "ndrr"), *rows]:
         out.write(f"{name:<{width}}  {sotd:>6}  {ndrr:>6}\n")
-    return EXIT_OK
 
 
-def _cmd_project(args, out) -> int:
+def _cmd_project(args, out) -> None:
     system = _read_system(args.file)
     try:
         ordering = parse_ordering(args.order)
@@ -101,10 +99,9 @@ def _cmd_project(args, out) -> int:
         out.write(f"level {n - i}:\n")
         for p in level:
             out.write(render(p) + "\n")
-    return EXIT_OK
 
 
-def _cmd_roots(args, out) -> int:
+def _cmd_roots(args, out) -> None:
     system = _read_system(args.file)
     for p, position in zip(system.polynomials, system.positions):
         if len(p.variables()) > 1:
@@ -112,10 +109,9 @@ def _cmd_roots(args, out) -> int:
     for p in system.polynomials:
         vs = p.variables()  # a constant has no roots
         out.write(f"{count_distinct_real_roots(to_univariate(p, *vs)) if vs else 0}\n")
-    return EXIT_OK
 
 
-def _cmd_bench(args, out) -> int:
+def _cmd_bench(args, out) -> None:
     problems_dir = Path(args.problems)
     if not problems_dir.is_dir():
         raise _UsageError(f"not a directory: {args.problems}")
@@ -137,7 +133,6 @@ def _cmd_bench(args, out) -> int:
     table = load_cell_table(csv_bytes)
     report = compute_report(table, picks)
     out.write(emit_report(report, args.format).decode("utf-8"))
-    return EXIT_OK
 
 
 def _build_parser() -> _Parser:
@@ -172,13 +167,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def run(argv: list[str], out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args, out)
+        args = _PARSER.parse_args(argv)
+        args.func(args, out)
+        return EXIT_OK
     except _UsageError as exc:
         err.write(f"cadorder: usage error: {exc}\n")
         return EXIT_USAGE

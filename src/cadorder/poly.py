@@ -7,7 +7,8 @@ discriminant machinery needed to build CAD projection sets; resultants are
 computed with a subresultant polynomial remainder sequence, staying in the
 integer ring throughout.  Its pseudo-remainders come from ``_prem``, the one
 fixed-step pseudo-division on dense coefficient lists, which the univariate
-chains share.
+chains share; it works in the coefficients' own ring, and the gcd over GF(p)
+reduces its remainders itself.
 
 No stored coefficient is ever 0.  ``Polynomial(terms)`` drops zeros from any
 mapping; in arithmetic only the pair-by-pair product needs that.
@@ -545,29 +546,26 @@ def _kronecker_prem(a: list, b: list, max_slots: int | None = None) -> list | No
     return [decode(n) for n in _prem([encode(c) for c in a], [encode(c) for c in b])]
 
 
-def _prem(a: list, b: list, modulus: int | None = None) -> list:
+def _prem(a: list, b: list) -> list:
     """Pseudo-remainder of dense coefficient lists: lc(b)^(da-db+1) * a mod b,
     by fixed-step pseudo-division (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R):
     each of da - db + 1 steps pops the leading coefficient, scales the rest
     by lc(b), unless lc(b) is 1, and subtracts the popped one times
     x^k * b[:-1].  Coefficients may be Polynomials (resultants), ints or
     Fractions (gcd, Sturm chains); `resultant` picks between this loop and
-    Kronecker substitution for Polynomial ones.  With a modulus the popped
-    coefficient is reduced at every step and the remainder at the end, so by
-    a monic b this is the remainder over GF(modulus)."""
+    Kronecker substitution for Polynomial ones.  `_gcd_mod` reduces each
+    remainder by a monic b mod p itself."""
     lc, tail = b[-1], b[:-1]
     scale = lc not in (1, _ONE)  # two tests, as a Polynomial never equals an int
     r = list(a)
     for k in range(len(a) - len(b), -1, -1):
         lcr = r.pop()
-        if modulus:
-            lcr %= modulus
         if scale:
             r = [lc * c for c in r]
         if lcr:
             for i, bc in enumerate(tail, k):
                 r[i] -= lcr * bc
-    return _trim([c % modulus for c in r] if modulus else r)
+    return _trim(r)
 
 
 def resultant(p: Polynomial, q: Polynomial, v: Variable) -> Polynomial:

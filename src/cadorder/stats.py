@@ -101,9 +101,10 @@ def load_cell_table(data: bytes | str) -> CellCountTable:
     rows: list[CellCountRow] = []
     index: dict[str, dict[Ordering, CellCountRow]] = {}
     checked: dict[str, Ordering] = {}  # ordering text -> its tuple, checked once
-    for lineno, record in enumerate(reader, start=2):
+    for record in reader:
         if not record:
             continue
+        lineno = reader.line_num  # the record's last physical line
         if len(record) != 4:
             raise CellTableError(f"line {lineno}: expected 4 fields")
         problem, ordering_text, cells_text, timeout_text = record

@@ -5,7 +5,7 @@ Coefficients are exact: ints stay ints, any other value becomes a Fraction.
 Gcd, squarefree part and root counting run on integer coefficient lists scaled
 by positive factors, so root counts are exact.  Every remainder comes from
 `_prem`, the fixed-step pseudo-remainder that resultants in poly use too; by a
-monic divisor and with a modulus it is the remainder over GF(p).  Signs at
+monic divisor and reduced mod p it is the remainder over GF(p).  Signs at
 plus or minus infinity are read off leading coefficients and degree parity.
 
 `_gcd_cofactor` takes the primitive parts of a and b and builds their gcd from
@@ -187,12 +187,13 @@ def _primes():
 
 def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
     """Monic gcd over GF(p) of a and b, whose leading coefficients p does not
-    divide: Euclid, each remainder `_prem` by the monic divisor."""
+    divide: Euclid, each remainder `_prem` by the monic divisor, reduced mod p
+    (a ring homomorphism, so it is the remainder over GF(p))."""
     def monic(u):
         inv = pow(u[-1], -1, p)
         return [c * inv % p for c in u]
     return monic(_remainder_sequence([c % p for c in a], [c % p for c in b],
-                                     lambda u, v: _prem(u, monic(v), p))[-1])
+                                     lambda u, v: _trim([c % p for c in _prem(u, monic(v))]))[-1])
 
 
 def _gcd_cofactor(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:

@@ -110,6 +110,12 @@ class TestLoad:
         with pytest.raises(CellTableError, match=r"^line 3: expected 4 fields$"):
             load_cell_table("problem,ordering,cells,timeout\np1,x>y,5,0\np1,y>x,5\n")
 
+    def test_line_number_after_multiline_field(self):
+        # each quoted problem name holds a newline, so rows 2 and 3 take two lines each
+        data = 'problem,ordering,cells,timeout\n"p\n1",x>y,5,0\n"p\n1",y>x,7,0\np2,x,5,2\n'
+        with pytest.raises(CellTableError, match=r"^line 6: timeout must be 0 or 1$"):
+            load_cell_table(data)
+
     def test_timeout_not_a_flag(self):
         with pytest.raises(CellTableError, match=r"^line 2: timeout must be 0 or 1$"):
             small_table([("p1", "x", 5, 2)])

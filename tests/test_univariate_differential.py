@@ -3,8 +3,9 @@ sturm_sequence against the textbook long-division oracle, on random sparse
 integer polynomials with repeated factors, gaps in degree and negative
 leading coefficients.  A gap in degree is where the pseudo-remainder's
 leftover lc(b)**e factor enters the integer chains.  The remainder over
-GF(_P) of the modular gcd, `_prem` by a monic image with a modulus, is
-checked against sympy's modular remainder, and its primes against sympy's."""
+GF(_P) of the modular gcd, `_prem` by a monic image reduced mod _P, is
+checked against sympy's modular remainder, the gcd over GF(_P) against
+sympy's, and its primes against sympy's."""
 
 import random
 from fractions import Fraction
@@ -20,8 +21,8 @@ from cadorder import (
     sturm_sequence,
     univariate_gcd,
 )
-from cadorder.poly import _prem
-from cadorder.univariate import _P, _primes
+from cadorder.poly import _prem, _trim
+from cadorder.univariate import _P, _gcd_mod, _primes
 from oracles import textbook_sturm
 
 sympy = pytest.importorskip("sympy")
@@ -200,7 +201,18 @@ def test_remainder_mod_p_matches_sympy(seed, da, db):
     while expected and not expected[-1]:
         expected.pop()
     inv = pow(b[-1], -1, _P)
-    assert _prem(a, [c * inv % _P for c in b], modulus=_P) == expected
+    assert _trim([c % _P for c in _prem(a, [c * inv % _P for c in b])]) == expected
+
+
+@pytest.mark.parametrize("seed, da, db", [(i, da, db) for i, (da, db) in enumerate(MOD_P_DEGREES)])
+def test_gcd_mod_p_matches_sympy(seed, da, db):
+    # a common factor, so that the gcd is not always 1
+    rng = random.Random(800 + seed)
+    f = mod_p_operand(rng, rng.randint(0, 3))
+    a, b = _mul(mod_p_operand(rng, da), f), _mul(mod_p_operand(rng, db), f)
+    mod_p = [sympy.Poly(list(reversed(c)), X, modulus=_P) for c in (a, b)]
+    expected = [int(c) % _P for c in reversed(mod_p[0].gcd(mod_p[1]).monic().all_coeffs())]
+    assert _gcd_mod(a, b, _P) == expected
 
 
 def test_primes_are_the_primes_below_p():
