@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .heuristics import HEURISTICS, choose, ndrr_value, projections, sotd_value
@@ -135,6 +136,7 @@ def _cmd_bench(args, out) -> None:
     out.write(emit_report(report, args.format).decode("utf-8"))
 
 
+@cache  # built on the first run, so importing the module builds no parser
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cadorder", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -167,14 +169,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_PARSER = _build_parser()
-
-
 def run(argv: list[str], out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = _PARSER.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         args.func(args, out)
         return EXIT_OK
     except _UsageError as exc:

@@ -57,91 +57,76 @@ def _tokenize(line: str, lineno: int) -> list[_Token]:
             return tokens
 
 
-class _LineParser:
-    """Recursive-descent parser for a single polynomial line."""
+def _parse_line(line: str, lineno: int, declared: list[Variable] | None) -> Polynomial:
+    """Recursive-descent parser for a single polynomial line; the grammar
+    rules share the token position and the open-parenthesis depth."""
+    tokens = _tokenize(line, lineno)
+    pos = depth = 0
 
-    def __init__(self, line: str, lineno: int, declared: list[Variable] | None):
-        self.tokens = _tokenize(line, lineno)
-        self.pos = 0
-        self.lineno = lineno
-        self.declared = declared
-        self.depth = 0  # open parentheses
+    def take() -> _Token:
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, self.lineno, tok.col)
-
-    def parse(self) -> Polynomial:
-        p = self.expr()
-        if self.peek().kind != "END":
-            self.fail(f"unexpected token {self.peek().text!r}")
-        return p
-
-    def expr(self) -> Polynomial:
-        if self.peek().kind == "+":
-            self.advance()
-        p = self.term()
-        while self.peek().kind in "+-":
-            op = self.advance().kind
-            q = self.term()
+    def expr() -> Polynomial:
+        if tokens[pos].kind == "+":
+            take()
+        p = term()
+        while tokens[pos].kind in "+-":
+            op = take().kind
+            q = term()
             p = p - q if op == "-" else p + q
         return p
 
-    def term(self) -> Polynomial:
-        p = self.factor()
-        while self.peek().kind == "*":
-            self.advance()
-            p = p * self.factor()
+    def term() -> Polynomial:
+        p = factor()
+        while tokens[pos].kind == "*":
+            take()
+            p = p * factor()
         return p
 
-    def factor(self) -> Polynomial:
+    def factor() -> Polynomial:
         negate = False
-        while self.peek().kind == "-":  # a unary minus, or a run of them
-            self.advance()
+        while tokens[pos].kind == "-":  # a unary minus, or a run of them
+            take()
             negate = not negate
-        p = self.atom()
-        if self.peek().kind == "^":
-            self.advance()
-            tok = self.peek()
+        p = atom()
+        if tokens[pos].kind == "^":
+            take()
+            tok = take()
             if tok.kind != "INT":
-                self.fail("exponent must be a non-negative integer literal", tok)
+                raise ParseError("exponent must be a non-negative integer literal", lineno, tok.col)
             if len(tok.text) > _DIGITS:  # int() may refuse a longer one
-                self.fail("exponent too large", tok)
-            self.advance()
+                raise ParseError("exponent too large", lineno, tok.col)
             p = p ** int(tok.text)
         return -p if negate else p
 
-    def atom(self) -> Polynomial:
-        tok = self.peek()
+    def atom() -> Polynomial:
+        nonlocal depth
+        tok = take()
         if tok.kind == "INT":
-            self.advance()
             return Polynomial.constant(_int_of_digits(tok.text))
         if tok.kind == "NAME":
-            self.advance()
-            if self.declared is not None and tok.text not in self.declared:
-                self.fail(f"undeclared variable {tok.text!r}", tok)
+            if declared is not None and tok.text not in declared:
+                raise ParseError(f"undeclared variable {tok.text!r}", lineno, tok.col)
             return Polynomial.variable(Variable(tok.text))
         if tok.kind == "(":
-            if self.depth == _MAX_NESTING:
-                self.fail(f"parentheses nested deeper than {_MAX_NESTING}", tok)
-            self.advance()
-            self.depth += 1
-            p = self.expr()
-            if self.peek().kind != ")":
-                self.fail("expected ')'")
-            self.advance()
-            self.depth -= 1
+            if depth == _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", lineno, tok.col)
+            depth += 1
+            p = expr()
+            tok = take()
+            if tok.kind != ")":
+                raise ParseError("expected ')'", lineno, tok.col)
+            depth -= 1
             return p
-        self.fail(f"expected a term, found {tok.text!r}" if tok.kind != "END"
-                  else "unexpected end of line", tok)
+        raise ParseError(f"expected a term, found {tok.text!r}" if tok.kind != "END"
+                         else "unexpected end of line", lineno, tok.col)
+
+    p = expr()
+    if tokens[pos].kind != "END":
+        raise ParseError(f"unexpected token {tokens[pos].text!r}", lineno, tokens[pos].col)
+    return p
 
 
 def parse_system(text: str) -> PolySystem:
@@ -178,7 +163,7 @@ def parse_system(text: str) -> PolySystem:
                 declared.append(v)
             continue
         seen_significant = True
-        p = _LineParser(line, lineno, declared).parse()
+        p = _parse_line(line, lineno, declared)
         col = len(line) - len(line.lstrip()) + 1
         if p.is_zero():
             raise ParseError("polynomial simplifies to zero", lineno, col)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 from math import floor
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .heuristics import HEURISTICS
 from .poly import _int_of_digits
@@ -76,6 +76,13 @@ class CellCountTable:
         return self.totals.get(problem_id, (0, 0))[1] is None
 
 
+def _records(reader) -> Iterator[list[str]]:
+    try:  # csv's own errors: a bare CR, a NUL byte or an overlong field
+        yield from reader
+    except csv.Error as exc:
+        raise CellTableError(f"line {reader.line_num}: {exc}") from None
+
+
 def load_cell_table(data: bytes | str) -> CellCountTable:
     """Parse and validate the cell-count CSV.
 
@@ -90,18 +97,15 @@ def load_cell_table(data: bytes | str) -> CellCountTable:
             line = data.count(b"\n", 0, exc.start) + 1
             raise CellTableError(f"line {line}: invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
     reader = csv.reader(io.StringIO(data))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CellTableError("missing header")
+    records = _records(reader)
+    header = next(records, None)
     if header != CSV_HEADER:
-        raise CellTableError(
-            f"bad header {','.join(header)!r}; expected {','.join(CSV_HEADER)!r}"
-        )
+        raise CellTableError("missing header" if header is None else
+                             f"bad header {','.join(header)!r}; expected {','.join(CSV_HEADER)!r}")
     rows: list[CellCountRow] = []
     index: dict[str, dict[Ordering, CellCountRow]] = {}
     checked: dict[str, Ordering] = {}  # ordering text -> its tuple, checked once
-    for record in reader:
+    for record in records:
         if not record:
             continue
         lineno = reader.line_num  # the record's last physical line

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -250,6 +251,24 @@ class TestBench:
         assert code == 3 and out == ""
         assert err == f"cadorder: cell table error: line 2: {reason}\n"
 
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"problem,ordering,cells,timeout\rp1,x,5,0\r", 1),
+            (b"problem,ordering,cells,timeout\np1,x,5\x00,0\n", 2),
+            (b"problem,ordering,cells,timeout\np1,x," + b"9" * 131073 + b",0\n", 2),
+        ],
+        ids=["bare-cr", "nul-byte", "cells-over-csv-field-limit"],
+    )
+    def test_malformed_csv_names_line_exit_3(self, tmp_path, data, line):
+        # csv's own errors (which of them a NUL byte raises depends on the
+        # Python version) are cell table errors that name the line
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(data)
+        code, out, err = invoke(self.ARGS[:-1] + [str(bad)])
+        assert (code, out) == (3, "")
+        assert err.startswith(f"cadorder: cell table error: line {line}: ") and err.count("\n") == 1
+
     def problems_with(self, tmp_path, name):
         problems = tmp_path / "problems"
         shutil.copytree(FIXTURES / "problems", problems)
@@ -306,6 +325,30 @@ def test_module_entry_point(demo_file):
     )
     assert proc.returncode == 0 and proc.stderr == ""
     assert "chosen: x>y>z" in proc.stdout
+
+
+def test_parser_built_on_first_run_only():
+    """Importing the CLI builds no argparse parser; the first run builds the
+    tree (the root and one per subcommand) and later runs reuse it."""
+    script = textwrap.dedent("""
+        import argparse, io
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counting_init
+        import cadorder.cli
+        counts = [len(built)]
+        for _ in range(2):
+            cadorder.cli.run(["roots"], out=io.StringIO(), err=io.StringIO())
+            counts.append(len(built))
+        print(counts)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(cadorder.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[0, 6, 6]\n"
 
 
 @pytest.mark.parametrize("heuristic", ["brown", "all"])

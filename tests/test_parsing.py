@@ -2,12 +2,14 @@ import random
 import re
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cadorder import Monomial, ParseError, Polynomial, PolySystem, Variable, parse_system, render
 from cadorder.poly import _DIGITS
 from conftest import random_polynomial
+from oracles import polynomial_of
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 X, Y, Z = Polynomial.variable(x), Polynomial.variable(y), Polynomial.variable(z)
@@ -23,6 +25,43 @@ def polynomials(draw):
     monomials = draw(st.lists(monomial, min_size=1, max_size=6, unique=True))
     coefficient = st.one_of(st.sampled_from([1, -1]), st.integers(-(2**80), 2**80).filter(bool))
     return Polynomial({m: draw(coefficient) for m in monomials})
+
+
+@st.composite
+def infix_lines(draw):
+    """(variables, line): a grammar-valid line in two or three variables.
+    An optional leading + and up to three terms joined by + or -; a term is
+    one or two factors joined by *; a factor is a run of unary minus, then an
+    atom with an optional ^ and a literal exponent 0-3; an atom is a
+    variable, an integer literal or a parenthesized line, nested at most two
+    deep (fewer terms inside, so sympy expands each line in milliseconds)."""
+    names = ["x", "y", "z"][: draw(st.integers(2, 3))]
+
+    def expr(depth):
+        text = draw(st.sampled_from(["", "+", "+ "])) + term(depth)
+        for _ in range(draw(st.integers(0, 2 - depth))):
+            text += draw(st.sampled_from(["+", " + ", "-", " - "])) + term(depth)
+        return text
+
+    def term(depth):
+        text = factor(depth)
+        if draw(st.booleans()):
+            text += draw(st.sampled_from(["*", " * "])) + factor(depth)
+        return text
+
+    def factor(depth):
+        text = "-" * draw(st.integers(0, 3)) + atom(depth)
+        return text + draw(st.sampled_from(["", "^0", "^1", "^2", "^3", " ^ 2"]))
+
+    def atom(depth):
+        kind = draw(st.integers(0, 2 if depth < 2 else 1))
+        if kind == 0:
+            return draw(st.sampled_from(names))
+        if kind == 1:
+            return str(draw(st.integers(0, 2**70)))
+        return "(" + expr(depth + 1) + ")"
+
+    return [Variable(n) for n in names], expr(0)
 
 
 class TestParseSystem:
@@ -157,6 +196,20 @@ class TestParseSystem:
         with pytest.raises(ParseError) as info:
             parse_system(text)
         assert (info.value.line, info.value.col, info.value.reason) == (1, col, message)
+
+    @settings(max_examples=150, deadline=None)
+    @given(infix_lines())
+    def test_parses_like_sympy(self, case):
+        # the grammar's precedence and signs, checked against sympy reading the
+        # same text with ^ as **; a line that expands to zero is refused
+        variables, line = case
+        expected = sympy.expand(sympy.sympify(line.replace("^", "**")))
+        if expected == 0:
+            with pytest.raises(ParseError, match="polynomial simplifies to zero"):
+                parse_system(line)
+        else:
+            poly = sympy.Poly(expected, *[sympy.Symbol(v) for v in variables])
+            assert parse_system(line).polynomials == (polynomial_of(poly, tuple(variables)),)
 
     def test_nested_parentheses_parse(self):
         assert parse_system("(" * 100 + "x" + ")" * 100).polynomials == (X,)
