@@ -14,7 +14,7 @@ from functools import cache
 from pathlib import Path
 
 from .heuristics import HEURISTICS, choose, ndrr_value, projections, sotd_value
-from .parsing import ParseError, parse_system, render
+from .parsing import ParseError, _lines, parse_system, render
 from .poly import PolySystem
 from .projection import format_ordering, full_projection, parse_ordering
 from .stats import CellTableError, compute_report, emit_report, load_cell_table
@@ -44,7 +44,7 @@ def _read_system(path: str) -> PolySystem:
         return parse_system(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         # lines as parse_system splits them; the last one ends at the bad byte
-        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        lines = _lines(data[:exc.start].decode("utf-8") + "?")
         reason = f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
         raise ParseError(f"{path}: {reason}", len(lines), len(lines[-1])) from None
     except ParseError as exc:

@@ -5,8 +5,10 @@ polynomial per line in infix notation with ``+ - * ^``, parentheses,
 non-negative integer literals and identifiers, both ASCII only.  ``#`` starts
 a comment, blank lines are ignored, and juxtaposition is not multiplication
 (an explicit ``*`` is required).  ``^`` takes a non-negative integer literal
-exponent of at most 639 digits (``poly._DIGITS``).  A line is split into
-tokens by one ASCII regular expression; spaces and tabs separate them.
+exponent of at most 639 digits (``poly._DIGITS``).  A line ends at ``\n``,
+``\r\n`` or ``\r`` and nowhere else.  It is split into tokens by one ASCII
+regular expression, where spaces and tabs separate them, and read by one
+function that calls itself once per parenthesis.
 """
 
 from __future__ import annotations
@@ -24,9 +26,13 @@ _TOKEN = re.compile(
     re.DOTALL,
 )
 
-# Each level of parentheses costs the recursive-descent parser four stack
-# frames; this many levels stay well inside Python's default recursion limit.
+# Each level of parentheses costs the parser one call of _sum; this many
+# levels stay well inside Python's default recursion limit.
 _MAX_NESTING = 100
+
+# The lines of a text: each ends at \n, \r\n or \r, and only there (str.splitlines
+# also ends one at \v, \f, \x1c-\x1e, \x85, U+2028 and U+2029).
+_lines = re.compile(r"\r\n?|\n").split
 
 
 class ParseError(ValueError):
@@ -57,76 +63,57 @@ def _tokenize(line: str, lineno: int) -> list[_Token]:
             return tokens
 
 
-def _parse_line(line: str, lineno: int, declared: list[Variable] | None) -> Polynomial:
-    """Recursive-descent parser for a single polynomial line; the grammar
-    rules share the token position and the open-parenthesis depth."""
-    tokens = _tokenize(line, lineno)
-    pos = depth = 0
-
-    def take() -> _Token:
-        nonlocal pos
+def _sum(tokens: list[_Token], pos: int, depth: int, lineno: int,
+         declared: list[Variable] | None) -> tuple[Polynomial, int]:
+    """Read a sum of products of signed powers at ``tokens[pos]``, inside
+    ``depth`` parentheses; return it and the position of the token after it.
+    Only a parenthesis recurses."""
+    if tokens[pos].kind == "+":
         pos += 1
-        return tokens[pos - 1]
-
-    def expr() -> Polynomial:
-        if tokens[pos].kind == "+":
-            take()
-        p = term()
-        while tokens[pos].kind in "+-":
-            op = take().kind
-            q = term()
-            p = p - q if op == "-" else p + q
-        return p
-
-    def term() -> Polynomial:
-        p = factor()
-        while tokens[pos].kind == "*":
-            take()
-            p = p * factor()
-        return p
-
-    def factor() -> Polynomial:
+    total = product = op = None  # op: the sign before the product being read
+    while True:  # one signed power per pass
         negate = False
         while tokens[pos].kind == "-":  # a unary minus, or a run of them
-            take()
             negate = not negate
-        p = atom()
+            pos += 1
+        tok = tokens[pos]
+        pos += 1
+        if tok.kind == "INT":
+            p = Polynomial.constant(_int_of_digits(tok.text))
+        elif tok.kind == "NAME":
+            if declared is not None and tok.text not in declared:
+                raise ParseError(f"undeclared variable {tok.text!r}", lineno, tok.col)
+            p = Polynomial.variable(Variable(tok.text))
+        elif tok.kind == "(":
+            if depth == _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", lineno, tok.col)
+            p, pos = _sum(tokens, pos, depth + 1, lineno, declared)
+            if tokens[pos].kind != ")":
+                raise ParseError("expected ')'", lineno, tokens[pos].col)
+            pos += 1
+        else:
+            raise ParseError(f"expected a term, found {tok.text!r}" if tok.kind != "END"
+                             else "unexpected end of line", lineno, tok.col)
         if tokens[pos].kind == "^":
-            take()
-            tok = take()
+            tok = tokens[pos + 1]
+            pos += 2
             if tok.kind != "INT":
                 raise ParseError("exponent must be a non-negative integer literal", lineno, tok.col)
             if len(tok.text) > _DIGITS:  # int() may refuse a longer one
                 raise ParseError("exponent too large", lineno, tok.col)
             p = p ** int(tok.text)
-        return -p if negate else p
-
-    def atom() -> Polynomial:
-        nonlocal depth
-        tok = take()
-        if tok.kind == "INT":
-            return Polynomial.constant(_int_of_digits(tok.text))
-        if tok.kind == "NAME":
-            if declared is not None and tok.text not in declared:
-                raise ParseError(f"undeclared variable {tok.text!r}", lineno, tok.col)
-            return Polynomial.variable(Variable(tok.text))
-        if tok.kind == "(":
-            if depth == _MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", lineno, tok.col)
-            depth += 1
-            p = expr()
-            tok = take()
-            if tok.kind != ")":
-                raise ParseError("expected ')'", lineno, tok.col)
-            depth -= 1
-            return p
-        raise ParseError(f"expected a term, found {tok.text!r}" if tok.kind != "END"
-                         else "unexpected end of line", lineno, tok.col)
-
-    p = expr()
-    if tokens[pos].kind != "END":
-        raise ParseError(f"unexpected token {tokens[pos].text!r}", lineno, tokens[pos].col)
-    return p
+        if negate:
+            p = -p
+        product = p if product is None else product * p
+        kind = tokens[pos].kind
+        if kind == "*":
+            pos += 1
+            continue
+        total = product if total is None else total - product if op == "-" else total + product
+        if kind not in "+-":
+            return total, pos
+        op, product = kind, None
+        pos += 1
 
 
 def parse_system(text: str) -> PolySystem:
@@ -141,7 +128,7 @@ def parse_system(text: str) -> PolySystem:
     declared: list[Variable] | None = None
     first: dict[Polynomial, tuple[int, int]] = {}  # polynomial -> (line, column)
     seen_significant = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.partition("#")[0]
         if not line.strip():
             continue
@@ -163,7 +150,10 @@ def parse_system(text: str) -> PolySystem:
                 declared.append(v)
             continue
         seen_significant = True
-        p = _parse_line(line, lineno, declared)
+        tokens = _tokenize(line, lineno)  # a bad character is reported before any syntax error
+        p, pos = _sum(tokens, 0, 0, lineno, declared)
+        if tokens[pos].kind != "END":
+            raise ParseError(f"unexpected token {tokens[pos].text!r}", lineno, tokens[pos].col)
         col = len(line) - len(line.lstrip()) + 1
         if p.is_zero():
             raise ParseError("polynomial simplifies to zero", lineno, col)

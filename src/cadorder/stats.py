@@ -26,6 +26,7 @@ from math import floor
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .heuristics import HEURISTICS
+from .parsing import _lines
 from .poly import _int_of_digits
 
 CSV_HEADER = ["problem", "ordering", "cells", "timeout"]
@@ -77,7 +78,7 @@ class CellCountTable:
 
 
 def _records(reader) -> Iterator[list[str]]:
-    try:  # csv's own errors: a bare CR, a NUL byte or an overlong field
+    try:  # csv's own errors: a NUL byte or an overlong field
         yield from reader
     except csv.Error as exc:
         raise CellTableError(f"line {reader.line_num}: {exc}") from None
@@ -94,9 +95,9 @@ def load_cell_table(data: bytes | str) -> CellCountTable:
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
+            line = len(_lines(data[:exc.start].decode("utf-8")))  # lines as csv counts them
             raise CellTableError(f"line {line}: invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
-    reader = csv.reader(io.StringIO(data))
+    reader = csv.reader(io.StringIO(data, newline=""))
     records = _records(reader)
     header = next(records, None)
     if header != CSV_HEADER:

@@ -78,6 +78,20 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err == f"cadorder: parse error: line 3, column 10: {bad}: invalid UTF-8 byte 0xe9\n"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("x^2 - 2\u2028y\n", "line 1, column 8: {}: unexpected character '\\u2028'"),
+         ("x^2 - 2\f\ny -\n", "line 1, column 8: {}: unexpected character '\\x0c'")],
+        ids=["line-separator", "form-feed"],
+    )
+    def test_line_ends_only_at_a_newline(self, tmp_path, text, message):
+        # str.splitlines would end a line at U+2028 and at a form feed too
+        bad = tmp_path / "bad.poly"
+        bad.write_bytes(text.encode("utf-8"))
+        code, out, err = invoke(["analyze", str(bad)])
+        assert (code, out) == (2, "")
+        assert err == "cadorder: parse error: " + message.format(bad) + "\n"
+
     def test_coefficients_of_any_length(self, tmp_path):
         # products of 3000-digit coefficients pass 4300 digits, and the
         # lowest limit Python accepts must not trip the conversions either
@@ -206,6 +220,16 @@ class TestBench:
         assert code == 0 and err == ""
         assert "problems: 4" in out
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r", b"\r\n"], ids=["lf", "bare-cr", "crlf"])
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json"), ("csv", "csv")])
+    def test_pinned_report_bytes(self, tmp_path, fmt, suffix, newline):
+        # csv reads the table whatever its line endings
+        table = tmp_path / "cells.csv"
+        table.write_bytes((FIXTURES / "bench_cells.csv").read_bytes().replace(b"\n", newline))
+        code, out, err = invoke(self.ARGS[:-1] + [str(table), "--format", fmt])
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (FIXTURES / "cli" / f"bench.{suffix}").read_bytes()
+
     def test_json_report(self):
         code, out, _ = invoke(self.ARGS + ["--format", "json"])
         assert code == 0
@@ -254,11 +278,10 @@ class TestBench:
     @pytest.mark.parametrize(
         "data, line",
         [
-            (b"problem,ordering,cells,timeout\rp1,x,5,0\r", 1),
             (b"problem,ordering,cells,timeout\np1,x,5\x00,0\n", 2),
             (b"problem,ordering,cells,timeout\np1,x," + b"9" * 131073 + b",0\n", 2),
         ],
-        ids=["bare-cr", "nul-byte", "cells-over-csv-field-limit"],
+        ids=["nul-byte", "cells-over-csv-field-limit"],
     )
     def test_malformed_csv_names_line_exit_3(self, tmp_path, data, line):
         # csv's own errors (which of them a NUL byte raises depends on the
@@ -294,6 +317,13 @@ class TestBench:
         code, out, err = invoke(self.ARGS[:-1] + [str(bad)])
         assert (code, out) == (3, "")
         assert err == "cadorder: cell table error: line 2: invalid UTF-8 byte 0xe9\n"
+
+    @pytest.mark.parametrize("newline", [b"\r", b"\r\n"], ids=["bare-cr", "crlf"])
+    def test_undecodable_csv_line_after_other_line_endings(self, tmp_path, newline):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"problem,ordering,cells,timeout" + newline + b"p1,x>y,5\xe9,0" + newline)
+        code, out, err = invoke(self.ARGS[:-1] + [str(bad)])
+        assert (code, out, err) == (3, "", "cadorder: cell table error: line 2: invalid UTF-8 byte 0xe9\n")
 
     def test_unreadable_poly_entry_exit_2(self, tmp_path):
         problems, entry = self.problems_with(tmp_path, "dir.poly")
