@@ -3,12 +3,13 @@
 Format: an optional first significant line ``vars: v1, v2, ...``, then one
 polynomial per line in infix notation with ``+ - * ^``, parentheses,
 non-negative integer literals and identifiers, both ASCII only.  ``#`` starts
-a comment, blank lines are ignored, and juxtaposition is not multiplication
-(an explicit ``*`` is required).  ``^`` takes a non-negative integer literal
-exponent of at most 639 digits (``poly._DIGITS``).  A line ends at ``\n``,
-``\r\n`` or ``\r`` and nowhere else.  It is split into tokens by one ASCII
-regular expression, where spaces and tabs separate them, and read by one
-function that calls itself once per parenthesis.
+a comment and juxtaposition is not multiplication (an explicit ``*`` is
+required).  ``^`` takes a non-negative integer literal exponent of at most 639
+digits (``poly._DIGITS``).  A line ends at ``\n``, ``\r\n`` or ``\r`` and
+nowhere else.  It is split into tokens by one ASCII regular expression, where
+spaces and tabs, the only blanks, separate them, and read by one function that
+calls itself once per parenthesis.  A line of only blanks and a comment is
+ignored, and only blanks are stripped around declared and ``--order`` names.
 """
 
 from __future__ import annotations
@@ -127,16 +128,11 @@ def parse_system(text: str) -> PolySystem:
     """
     declared: list[Variable] | None = None
     first: dict[Polynomial, tuple[int, int]] = {}  # polynomial -> (line, column)
-    seen_significant = False
     for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.partition("#")[0]
-        if not line.strip():
-            continue
-        if not seen_significant and line.lstrip().startswith("vars:"):
-            seen_significant = True
-            body = line.lstrip()[len("vars:"):]
-            col0 = len(line) - len(line.lstrip()) + len("vars:") + 1
-            names = [part.strip() for part in body.split(",")]
+        if declared is None and not first and (m := re.match(r"[ \t]*vars:", line)):
+            col0 = m.end() + 1
+            names = [part.strip(" \t") for part in line[m.end():].split(",")]
             if names == [""]:
                 raise ParseError("empty variable declaration", lineno, col0)
             declared = []
@@ -149,15 +145,15 @@ def parse_system(text: str) -> PolySystem:
                     raise ParseError(f"duplicate variable {name!r}", lineno, col0)
                 declared.append(v)
             continue
-        seen_significant = True
         tokens = _tokenize(line, lineno)  # a bad character is reported before any syntax error
+        if tokens[0].kind == "END":
+            continue  # blank: spaces and tabs at most
         p, pos = _sum(tokens, 0, 0, lineno, declared)
         if tokens[pos].kind != "END":
             raise ParseError(f"unexpected token {tokens[pos].text!r}", lineno, tokens[pos].col)
-        col = len(line) - len(line.lstrip()) + 1
         if p.is_zero():
-            raise ParseError("polynomial simplifies to zero", lineno, col)
-        first.setdefault(p, (lineno, col))
+            raise ParseError("polynomial simplifies to zero", lineno, tokens[0].col)
+        first.setdefault(p, (lineno, tokens[0].col))
     if not first:
         raise ParseError("empty system", 1, 1)
     return replace(PolySystem.make(first, variables=declared), positions=tuple(first.values()))

@@ -24,7 +24,7 @@ def format_ordering(ordering: Sequence[Variable]) -> str:
 def parse_ordering(text: str) -> VariableOrdering:
     """Parse a '>'-joined ordering such as ``x>y>z``."""
     names = text.split(">")
-    ordering = tuple(Variable(name.strip()) for name in names)
+    ordering = tuple(Variable(name.strip(" \t")) for name in names)
     if len(set(ordering)) != len(ordering):
         raise ValueError(f"repeated variable in ordering {text!r}")
     return ordering
@@ -55,14 +55,14 @@ def project_once(level: Iterable[Polynomial], v: Variable) -> tuple[Polynomial, 
     produced: list[Polynomial] = []
     involving = []
     for p in members:
-        d = p.degree_in(v)
-        if d == 0:
+        coeffs = p.coefficients_wrt(v)  # one per power of v up to the degree
+        if len(coeffs) == 1:
             produced.append(p)  # pass through untouched by elimination
         else:
-            involving.append((p, d))
-    for p, d in involving:
-        produced.extend(p.coefficients_wrt(v))
-        if d >= 2:
+            involving.append((p, coeffs))
+    for p, coeffs in involving:
+        produced.extend(coeffs)
+        if len(coeffs) > 2:
             produced.append(discriminant(p, v))
     for (p, _), (q, _) in combinations(involving, 2):
         produced.append(resultant(p, q, v))

@@ -95,10 +95,8 @@ def to_univariate(p: Polynomial, v: Variable) -> UnivariatePolynomial:
     if extra:
         names = ", ".join(sorted(extra))
         raise ValueError(f"polynomial is not univariate in {v}: also uses {names}")
-    coeffs = [0] * (p.degree_in(v) + 1)
-    for m, c in p.terms.items():
-        coeffs[m.degree_in(v)] = c
-    return UnivariatePolynomial.make(v, coeffs)
+    # each coefficient is free of v, and so a constant
+    return UnivariatePolynomial.make(v, [c.leading_coefficient() for c in p.coefficients_wrt(v)])
 
 
 # Coefficient-list kernels.  Integer chains take primitive parts to keep

@@ -157,6 +157,21 @@ class TestParseSystem:
         assert (info.value.line, info.value.col) == (2, col)
 
     @pytest.mark.parametrize(
+        "text, line, col, reason",
+        [("x + 1\n\u2028\n", 2, 1, "unexpected character '\\u2028'"),
+         ("x + 1\n\f \u3000\n", 2, 1, "unexpected character '\\x0c'"),
+         ("\u3000vars: x, y\nx", 1, 1, "unexpected character '\\u3000'"),
+         ("vars: x,\u3000y\nx", 1, 6, "invalid variable name '\\u3000y'")],
+        ids=["line-separator", "form-feed", "ideographic-space-before-vars", "ideographic-space-in-vars"],
+    )
+    def test_only_spaces_and_tabs_are_blank(self, text, line, col, reason):
+        # a blank line, the indent of vars: and the padding of a declared name
+        # hold spaces and tabs only; any other white space is a stray character
+        with pytest.raises(ParseError) as info:
+            parse_system(text)
+        assert (info.value.line, info.value.col, info.value.reason) == (line, col, reason)
+
+    @pytest.mark.parametrize(
         "text, col, message",
         [("2x", 2, "unexpected token 'x'"), ("x +\t@", 5, "unexpected character '@'"),
          ("  (x + 1", 9, "expected ')'")],

@@ -34,6 +34,14 @@ class TestProjectOnce:
         assert Y in level
         assert Y**2 - Y in level
 
+    def test_member_free_of_the_variable_passes_through(self):
+        # only the free member survives: x^2 + 1 gives constants alone
+        assert project_once([X**2 + 1, 2 * Y + 2], x) == (Y + 1,)
+
+    def test_linear_member_with_a_free_one(self):
+        # x + y gives its coefficients and no discriminant
+        assert project_once([X + Y, Y**2 - 2], x) == (Y, Y**2 - 2)
+
     def test_empty_level_rejected(self):
         with pytest.raises(ValueError, match="empty level"):
             project_once([], x)
@@ -107,3 +115,9 @@ class TestOrderingText:
     def test_repeated_variable(self):
         with pytest.raises(ValueError, match="repeated"):
             parse_ordering("x>x")
+
+    def test_names_stripped_of_spaces_and_tabs_only(self):
+        assert parse_ordering(" x > y ") == (x, y)
+        assert parse_ordering("x\t>\ty") == (x, y)
+        with pytest.raises(ValueError, match="invalid variable name"):
+            parse_ordering("x >\u3000y")

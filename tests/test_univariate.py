@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cadorder import (
+    Monomial,
     Polynomial,
     UnivariatePolynomial,
     Variable,
@@ -50,6 +51,15 @@ def _mul(p, q):
 
 
 class TestToUnivariate:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-(2**70), 2**70), max_size=40))
+    def test_dense_coefficients(self, coeffs):
+        p = Polynomial({Monomial([(x, i)]): c for i, c in enumerate(coeffs)})
+        trimmed = list(coeffs)
+        while trimmed and not trimmed[-1]:
+            trimmed.pop()
+        assert to_univariate(p, x).coefficients == tuple(trimmed)
+
     def test_other_variables_rejected(self):
         p = Polynomial.variable(x) * Polynomial.variable(Variable("z")) + Polynomial.variable(Variable("y"))
         with pytest.raises(ValueError, match="^polynomial is not univariate in x: also uses y, z$"):
