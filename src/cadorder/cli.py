@@ -119,6 +119,10 @@ def _cmd_bench(args, out) -> None:
     poly_files = sorted(problems_dir.glob("*.poly"))
     if not poly_files:
         raise _UsageError(f"no .poly files in {args.problems}")
+    try:  # the table is checked before any problem is analysed
+        table = load_cell_table(Path(args.cells).read_bytes())
+    except OSError as exc:
+        raise CellTableError(f"cannot read {args.cells}: {exc.strerror}")
     picks: dict[str, dict[str, tuple[str, ...]]] = {h: {} for h in HEURISTICS}
     for path in poly_files:
         system = _read_system(str(path))
@@ -127,11 +131,6 @@ def _cmd_bench(args, out) -> None:
                 picks[h][path.stem] = choose(system, h).chosen
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    try:
-        csv_bytes = Path(args.cells).read_bytes()
-    except OSError as exc:
-        raise CellTableError(f"cannot read {args.cells}: {exc.strerror}")
-    table = load_cell_table(csv_bytes)
     report = compute_report(table, picks)
     out.write(emit_report(report, args.format).decode("utf-8"))
 

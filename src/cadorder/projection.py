@@ -49,23 +49,20 @@ def project_once(level: Iterable[Polynomial], v: Variable) -> tuple[Polynomial, 
     """Single projection step eliminating v: pass-through of members free of
     v, all coefficients, discriminants of degree >= 2 members, and pairwise
     resultants; reduced afterwards."""
-    members = list(level)
-    if not members:
-        raise ValueError("empty level")
     produced: list[Polynomial] = []
-    involving = []
-    for p in members:
+    involving: list[Polynomial] = []
+    for p in level:
         coeffs = p.coefficients_wrt(v)  # one per power of v up to the degree
         if len(coeffs) == 1:
             produced.append(p)  # pass through untouched by elimination
-        else:
-            involving.append((p, coeffs))
-    for p, coeffs in involving:
-        produced.extend(coeffs)
+            continue
+        involving.append(p)
+        produced += coeffs
         if len(coeffs) > 2:
             produced.append(discriminant(p, v))
-    for (p, _), (q, _) in combinations(involving, 2):
-        produced.append(resultant(p, q, v))
+    if not produced:
+        raise ValueError("empty level")
+    produced += (resultant(p, q, v) for p, q in combinations(involving, 2))
     return reduce_level(produced)
 
 
@@ -78,10 +75,6 @@ def full_projection(system: PolySystem, ordering: Sequence[Variable]) -> Project
             f"system variables {{{', '.join(system.variables)}}}"
         )
     levels = [reduce_level(system.polynomials)]
-    for k in range(len(ordering), 1, -1):
-        current = levels[-1]
-        if not current:
-            levels.append(())
-        else:
-            levels.append(project_once(current, ordering[k - 1]))
+    for v in reversed(ordering[1:]):
+        levels.append(project_once(levels[-1], v) if levels[-1] else ())
     return ProjectionSet(ordering, tuple(levels))

@@ -95,8 +95,9 @@ def to_univariate(p: Polynomial, v: Variable) -> UnivariatePolynomial:
     if extra:
         names = ", ".join(sorted(extra))
         raise ValueError(f"polynomial is not univariate in {v}: also uses {names}")
-    # each coefficient is free of v, and so a constant
-    return UnivariatePolynomial.make(v, [c.leading_coefficient() for c in p.coefficients_wrt(v)])
+    # each monomial is 1 or a power of v, and no stored coefficient is 0
+    powers = {m[0][1] if m else 0: c for m, c in p.terms.items()}
+    return UnivariatePolynomial(v, tuple([powers.get(i, 0) for i in range(max(powers, default=-1) + 1)]))
 
 
 # Coefficient-list kernels.  Integer chains take primitive parts to keep
@@ -347,5 +348,5 @@ def count_distinct_real_roots(p: UnivariatePolynomial) -> int:
     Sturm's theorem on the squarefree part."""
     if p.is_zero():
         raise ValueError("identically zero has infinitely many roots")
-    sf = list(squarefree_part(p).coefficients)
+    sf = squarefree_part(p).coefficients
     return _race(_descartes(sf), _sturm(sf))

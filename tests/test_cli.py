@@ -339,6 +339,23 @@ class TestBench:
         assert (code, out) == (1, "")
         assert err == f"cadorder: error: {constant}: no variables to order\n"
 
+    def test_missing_table_fails_before_any_problem(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a problem was analysed before the table was read")
+        monkeypatch.setattr(cadorder.cli, "choose", refuse)
+        missing = tmp_path / "missing.csv"
+        code, out, err = invoke(self.ARGS[:-1] + [str(missing)])
+        assert (code, out) == (3, "")
+        assert err == f"cadorder: cell table error: cannot read {missing}: No such file or directory\n"
+
+    def test_broken_table_reported_before_a_broken_problem(self, tmp_path):
+        problems, bad = self.problems_with(tmp_path, "bad.poly")
+        bad.write_text("x^2 +\n")
+        missing = tmp_path / "missing.csv"
+        code, out, err = invoke(["bench", "--problems", str(problems), "--cells", str(missing)])
+        assert (code, out) == (3, "")
+        assert err.startswith("cadorder: cell table error: cannot read ")
+
     def test_byte_determinism(self):
         for fmt in ("text", "json", "csv"):
             first = invoke(self.ARGS + ["--format", fmt])
@@ -355,6 +372,21 @@ def test_module_entry_point(demo_file):
     )
     assert proc.returncode == 0 and proc.stderr == ""
     assert "chosen: x>y>z" in proc.stdout
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_outputs_do_not_depend_on_the_hash_seed(seed):
+    """Levels, orderings and reports come out in the same order whatever
+    Python's string hashes are."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cadorder.__file__).parents[1]), PYTHONHASHSEED=seed)
+    bench = ["bench", "--problems", str(FIXTURES / "problems"), "--cells", str(FIXTURES / "bench_cells.csv")]
+    for args, golden in [
+        (["analyze", str(FIXTURES / "problems" / "p2.poly"), "--format", "json"], "p2.analyze.json"),
+        (bench + ["--format", "json"], "bench.json"),
+    ]:
+        proc = subprocess.run([sys.executable, "-m", "cadorder.cli", *args], capture_output=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == (FIXTURES / "cli" / golden).read_bytes()
 
 
 def test_parser_built_on_first_run_only():

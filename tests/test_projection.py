@@ -11,6 +11,7 @@ from cadorder import (
     full_projection,
     parse_ordering,
     project_once,
+    projection,
 )
 from conftest import random_system, rename
 
@@ -52,6 +53,23 @@ class TestProjectOnce:
             assert canonicalize(p) == p
             assert not p.is_constant()
         assert len(set(level)) == len(level)
+
+    def test_one_discriminant_and_one_resultant(self, monkeypatch):
+        # only x^2 + y has degree 2 in x, and y^2 - 2 is free of x, so one
+        # discriminant and one resultant, each of the members that need it
+        level = [X**2 + Y, X * Y + 1, Y**2 - 2]
+        expected = project_once(level, x)
+        calls = []
+
+        def recording(name, real):
+            def call(*args):
+                calls.append((name, args))
+                return real(*args)
+            return call
+        for name in ("discriminant", "resultant"):
+            monkeypatch.setattr(projection, name, recording(name, getattr(projection, name)))
+        assert project_once(level, x) == expected
+        assert calls == [("discriminant", (X**2 + Y, x)), ("resultant", (X**2 + Y, X * Y + 1, x))]
 
 
 class TestFullProjection:
