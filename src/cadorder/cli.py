@@ -37,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_system(path: str) -> PolySystem:
     try:
-        data = Path(path).read_bytes()
+        data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")  # a leading byte-order mark
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}", 1, 1)
     try:

@@ -494,14 +494,12 @@ _NONZERO_BYTE = re.compile(rb"[^\x00]")
 
 
 def _kronecker_prem(a: list, b: list, max_slots: int | None = None) -> list | None:
-    """``_prem(a, b)`` of Polynomial coefficient lists by Kronecker
-    substitution (see the module docstring): each coefficient becomes one
-    int, the loop of `_prem` runs on the ints, and the remainder's ints are
-    read back slot by slot.  None when the degree box has more than
-    ``max_slots`` slots."""
+    """``_prem(a, b)`` of Polynomial coefficient lists, which need
+    ``len(a) >= len(b) >= 1``, by Kronecker substitution (see the module
+    docstring): each coefficient becomes one int, the loop of `_prem` runs on
+    the ints, and the remainder's ints are read back slot by slot.  None when
+    the degree box has more than ``max_slots`` slots."""
     steps = len(a) - len(b) + 1
-    if steps < 1:
-        return _trim(list(a))
     deg_a: dict[Variable, int] = {}
     deg_b: dict[Variable, int] = {}
     for coeffs, deg in ((a, deg_a), (b, deg_b)):

@@ -92,6 +92,7 @@ def load_cell_table(data: bytes | str) -> CellCountTable:
     cell count is present exactly when timeout is 0.
     """
     if isinstance(data, bytes):
+        data = data.removeprefix(b"\xef\xbb\xbf")  # a leading byte-order mark
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:

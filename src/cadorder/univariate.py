@@ -91,12 +91,12 @@ class UnivariatePolynomial:
 
 def to_univariate(p: Polynomial, v: Variable) -> UnivariatePolynomial:
     """View a multivariate polynomial involving at most ``v`` as univariate."""
-    extra = p.variables() - {v}
-    if extra:
-        names = ", ".join(sorted(extra))
-        raise ValueError(f"polynomial is not univariate in {v}: also uses {names}")
-    # each monomial is 1 or a power of v, and no stored coefficient is 0
-    powers = {m[0][1] if m else 0: c for m, c in p.terms.items()}
+    powers = {}  # no stored coefficient is 0
+    for m, c in p.terms.items():
+        if m and (len(m) > 1 or m[0][0] != v):  # neither 1 nor a power of v
+            names = ", ".join(sorted(p.variables() - {v}))
+            raise ValueError(f"polynomial is not univariate in {v}: also uses {names}")
+        powers[m[0][1] if m else 0] = c
     return UnivariatePolynomial(v, tuple([powers.get(i, 0) for i in range(max(powers, default=-1) + 1)]))
 
 

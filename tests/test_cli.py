@@ -14,6 +14,7 @@ from cadorder import enumerate_orderings, format_ordering, parse_system
 from cadorder.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark that spreadsheets and some editors write
 
 
 def invoke(argv):
@@ -77,6 +78,33 @@ class TestAnalyze:
         code, out, err = invoke(["analyze", str(bad)])
         assert code == 2 and out == ""
         assert err == f"cadorder: parse error: line 3, column 10: {bad}: invalid UTF-8 byte 0xe9\n"
+
+    def test_leading_byte_order_mark_ignored(self, tmp_path):
+        path = tmp_path / "p2.poly"
+        path.write_bytes(BOM + (FIXTURES / "problems" / "p2.poly").read_bytes())
+        code, out, err = invoke(["analyze", str(path), "--format", "json"])
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (FIXTURES / "cli" / "p2.analyze.json").read_bytes()
+
+    @pytest.mark.parametrize("mark", [b"", BOM], ids=["plain", "byte-order-mark"])
+    def test_undecodable_byte_after_a_byte_order_mark(self, tmp_path, mark):
+        # positions count from after the mark, as if it were not there
+        bad = tmp_path / "bad.poly"
+        bad.write_bytes(mark + b"x^2 - 2\xff\n")
+        code, out, err = invoke(["analyze", str(bad)])
+        assert (code, out) == (2, "")
+        assert err == f"cadorder: parse error: line 1, column 8: {bad}: invalid UTF-8 byte 0xff\n"
+
+    @pytest.mark.parametrize(
+        "data, line", [(b"x^2 - 2\n" + BOM + b"y - 1\n", 2), (BOM + BOM + b"x - 1\n", 1)],
+        ids=["start-of-line-2", "second-mark"],
+    )
+    def test_byte_order_mark_elsewhere_exit_2(self, tmp_path, data, line):
+        bad = tmp_path / "bad.poly"
+        bad.write_bytes(data)
+        code, out, err = invoke(["analyze", str(bad)])
+        assert (code, out) == (2, "")
+        assert err == f"cadorder: parse error: line {line}, column 1: {bad}: unexpected character '\\ufeff'\n"
 
     @pytest.mark.parametrize(
         "text, message",
@@ -226,6 +254,15 @@ class TestBench:
         # csv reads the table whatever its line endings
         table = tmp_path / "cells.csv"
         table.write_bytes((FIXTURES / "bench_cells.csv").read_bytes().replace(b"\n", newline))
+        code, out, err = invoke(self.ARGS[:-1] + [str(table), "--format", fmt])
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (FIXTURES / "cli" / f"bench.{suffix}").read_bytes()
+
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json"), ("csv", "csv")])
+    def test_leading_byte_order_mark_ignored(self, tmp_path, fmt, suffix):
+        # as a spreadsheet saves "CSV UTF-8"
+        table = tmp_path / "cells.csv"
+        table.write_bytes(BOM + (FIXTURES / "bench_cells.csv").read_bytes())
         code, out, err = invoke(self.ARGS[:-1] + [str(table), "--format", fmt])
         assert (code, err) == (0, "")
         assert out.encode("utf-8") == (FIXTURES / "cli" / f"bench.{suffix}").read_bytes()

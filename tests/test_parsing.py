@@ -171,6 +171,12 @@ class TestParseSystem:
             parse_system(text)
         assert (info.value.line, info.value.col, info.value.reason) == (line, col, reason)
 
+    def test_byte_order_mark_in_text_rejected(self):
+        # the CLI drops a mark that leads a file's bytes; text is parsed as it is
+        with pytest.raises(ParseError) as info:
+            parse_system("\ufeffx + 1\n")
+        assert (info.value.line, info.value.col, info.value.reason) == (1, 1, "unexpected character '\\ufeff'")
+
     @pytest.mark.parametrize(
         "text, col, message",
         [("2x", 2, "unexpected token 'x'"), ("x +\t@", 5, "unexpected character '@'"),

@@ -138,6 +138,17 @@ class TestLoad:
         with pytest.raises(CellTableError, match=r"^line 3: invalid UTF-8 byte 0xe9$"):
             load_cell_table(b"problem,ordering,cells,timeout\np1,x>y,5,0\np1,y>x,5\xe9,0\n")
 
+    def test_undecodable_byte_after_a_byte_order_mark_names_line(self):
+        with pytest.raises(CellTableError, match=r"^line 3: invalid UTF-8 byte 0xe9$"):
+            load_cell_table(b"\xef\xbb\xbfproblem,ordering,cells,timeout\np1,x>y,5,0\np1,y>x,5\xe9,0\n")
+
+    def test_leading_byte_order_mark_dropped_from_bytes_only(self):
+        # as a spreadsheet saves "CSV UTF-8"; text is read as it is
+        data = "problem,ordering,cells,timeout\np1,x>y,5,0\np1,y>x,7,0\n"
+        assert load_cell_table(b"\xef\xbb\xbf" + data.encode("utf-8")) == load_cell_table(data)
+        with pytest.raises(CellTableError, match=r"^bad header '\\ufeffproblem,ordering,cells,timeout'"):
+            load_cell_table("\ufeff" + data)
+
     def test_nonpositive_cells(self):
         with pytest.raises(CellTableError, match="positive integer"):
             small_table([("p1", "x", 0, 0)])

@@ -13,6 +13,7 @@ from cadorder import (
     UnivariatePolynomial,
     Variable,
     count_distinct_real_roots,
+    parse_system,
     squarefree_part,
     sturm_sequence,
     to_univariate,
@@ -60,8 +61,10 @@ class TestToUnivariate:
             trimmed.pop()
         assert to_univariate(p, x).coefficients == tuple(trimmed)
 
-    def test_other_variables_rejected(self):
-        p = Polynomial.variable(x) * Polynomial.variable(Variable("z")) + Polynomial.variable(Variable("y"))
+    @pytest.mark.parametrize("text", ["x*z + y", "x^2 + x*y + z + 1"], ids=["mixed-first", "power-of-x-first"])
+    def test_other_variables_rejected(self, text):
+        # the message names every other variable, even those after the first bad term
+        p = parse_system(text).polynomials[0]
         with pytest.raises(ValueError, match="^polynomial is not univariate in x: also uses y, z$"):
             to_univariate(p, x)
 
