@@ -14,7 +14,7 @@ from functools import cache
 from pathlib import Path
 
 from .heuristics import HEURISTICS, choose, ndrr_value, projections, sotd_value
-from .parsing import ParseError, _lines, parse_system, render
+from .parsing import ParseError, _decode, parse_system, render
 from .poly import PolySystem
 from .projection import format_ordering, full_projection, parse_ordering
 from .stats import CellTableError, compute_report, emit_report, load_cell_table
@@ -37,16 +37,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_system(path: str) -> PolySystem:
     try:
-        data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")  # a leading byte-order mark
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}", 1, 1)
     try:
-        return parse_system(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        # lines as parse_system splits them; the last one ends at the bad byte
-        lines = _lines(data[:exc.start].decode("utf-8") + "?")
-        reason = f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
-        raise ParseError(f"{path}: {reason}", len(lines), len(lines[-1])) from None
+        return parse_system(_decode(data))
     except ParseError as exc:
         raise ParseError(f"{path}: {exc.reason}", exc.line, exc.col) from None
 
@@ -83,7 +78,7 @@ def _cmd_analyze(args, out) -> None:
 def _cmd_orderings(args, out) -> None:
     system = _read_system(args.file)
     rows = [(format_ordering(ps.ordering), sotd_value(ps), ndrr_value(ps)) for ps in projections(system)]
-    width = max(len(r[0]) for r in rows)
+    width = max(len("ordering"), *(len(r[0]) for r in rows))
     for name, sotd, ndrr in [("ordering", "sotd", "ndrr"), *rows]:
         out.write(f"{name:<{width}}  {sotd:>6}  {ndrr:>6}\n")
 

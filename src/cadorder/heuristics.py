@@ -129,7 +129,7 @@ def lex_tiebreak(candidates: Iterable[VariableOrdering]) -> VariableOrdering:
 
 
 def choose(system: PolySystem, heuristic: str) -> HeuristicReport:
-    """Run one heuristic on a system and report candidates and the choice."""
+    """Run one heuristic; report its candidates, in lexicographic order, and the first of them."""
     if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {heuristic!r}")
     if not system.polynomials:
@@ -138,9 +138,9 @@ def choose(system: PolySystem, heuristic: str) -> HeuristicReport:
         raise ValueError("no variables to order")
     if heuristic == "brown":
         candidates = tuple(brown_candidates(system))
-        return HeuristicReport("brown", None, candidates, lex_tiebreak(candidates))
+        return HeuristicReport("brown", None, candidates, candidates[0])
     metric = sotd_value if heuristic == "sotd" else ndrr_value
     per_ordering = {ps.ordering: metric(ps) for ps in projections(system)}
     best = min(per_ordering.values())
-    candidates = tuple(o for o, val in per_ordering.items() if val == best)
-    return HeuristicReport(heuristic, per_ordering, candidates, lex_tiebreak(candidates))
+    candidates = tuple(o for o, val in per_ordering.items() if val == best)  # in tuple order
+    return HeuristicReport(heuristic, per_ordering, candidates, candidates[0])

@@ -46,6 +46,18 @@ class ParseError(ValueError):
         self.reason = message
 
 
+def _decode(data: bytes) -> str:
+    """The text of input bytes: UTF-8, after a leading byte-order mark if any.
+    A bad byte raises ParseError at its position, lines split as ``_lines``
+    splits them."""
+    data = data.removeprefix(b"\xef\xbb\xbf")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = _lines(data[:exc.start].decode("utf-8") + "?")  # the last one ends at the bad byte
+        raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", len(lines), len(lines[-1])) from None
+
+
 class _Token(NamedTuple):
     kind: str  # NAME, INT, one of + - * ^ ( ), or END
     text: str

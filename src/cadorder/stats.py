@@ -10,7 +10,10 @@ saving of each pick relative to the per-problem average over all orderings
 Orderings are handled as tuples of variable names here (a ``Variable`` is its
 name, so a chosen ordering joins as it is); the CSV wire format joins them
 with '>' in reverse-projection order (``x>y>z``).  A table is read in one
-pass and keeps per-problem totals; ``summarize`` sorts by an exact float key.
+pass into one index by problem and ordering, and its rows are that index
+flattened: file order when each problem's rows are contiguous, otherwise
+grouped by problem in order of first appearance.  It keeps per-problem
+totals; ``summarize`` sorts by an exact float key.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 from math import floor
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .heuristics import HEURISTICS
-from .parsing import _lines
+from .parsing import ParseError, _decode
 from .poly import _int_of_digits
 
 CSV_HEADER = ["problem", "ordering", "cells", "timeout"]
@@ -48,7 +51,7 @@ class CellCountRow(NamedTuple):
 
 @dataclass(frozen=True)
 class CellCountTable:
-    rows: tuple[CellCountRow, ...]
+    rows: tuple[CellCountRow, ...]  # index flattened, grouped by problem
     # problem_id -> ordering -> row, built once by load_cell_table
     index: Mapping[str, Mapping[Ordering, CellCountRow]] = field(repr=False, compare=False)
 
@@ -77,13 +80,6 @@ class CellCountTable:
         return self.totals.get(problem_id, (0, 0))[1] is None
 
 
-def _records(reader) -> Iterator[list[str]]:
-    try:  # csv's own errors: a NUL byte or an overlong field
-        yield from reader
-    except csv.Error as exc:
-        raise CellTableError(f"line {reader.line_num}: {exc}") from None
-
-
 def load_cell_table(data: bytes | str) -> CellCountTable:
     """Parse and validate the cell-count CSV.
 
@@ -92,59 +88,53 @@ def load_cell_table(data: bytes | str) -> CellCountTable:
     cell count is present exactly when timeout is 0.
     """
     if isinstance(data, bytes):
-        data = data.removeprefix(b"\xef\xbb\xbf")  # a leading byte-order mark
         try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = len(_lines(data[:exc.start].decode("utf-8")))  # lines as csv counts them
-            raise CellTableError(f"line {line}: invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
+            data = _decode(data)
+        except ParseError as exc:  # its lines are the lines csv counts
+            raise CellTableError(f"line {exc.line}: {exc.reason}") from None
     reader = csv.reader(io.StringIO(data, newline=""))
-    records = _records(reader)
-    header = next(records, None)
-    if header != CSV_HEADER:
-        raise CellTableError("missing header" if header is None else
-                             f"bad header {','.join(header)!r}; expected {','.join(CSV_HEADER)!r}")
-    rows: list[CellCountRow] = []
     index: dict[str, dict[Ordering, CellCountRow]] = {}
     checked: dict[str, Ordering] = {}  # ordering text -> its tuple, checked once
-    for record in records:
-        if not record:
-            continue
-        lineno = reader.line_num  # the record's last physical line
-        if len(record) != 4:
-            raise CellTableError(f"line {lineno}: expected 4 fields")
-        problem, ordering_text, cells_text, timeout_text = record
-        ordering = checked.get(ordering_text)
-        if ordering is None or not problem:  # a new text, or a row that fails anyway
-            ordering = checked[ordering_text] = tuple(ordering_text.split(">"))
-            if not problem or "" in ordering:
-                raise CellTableError(f"line {lineno}: empty problem or ordering field")
-            if len(set(ordering)) != len(ordering):
-                raise CellTableError(f"line {lineno}: repeated variable in ordering {ordering_text!r}")
-        if timeout_text not in ("0", "1"):
-            raise CellTableError(f"line {lineno}: timeout must be 0 or 1")
-        timeout = timeout_text == "1"
-        if timeout:
-            if cells_text != "":
+    try:  # csv's own errors: a NUL byte or an overlong field
+        header = next(reader, None)
+        if header != CSV_HEADER:
+            raise CellTableError("missing header" if header is None else
+                                 f"bad header {','.join(header)!r}; expected {','.join(CSV_HEADER)!r}")
+        for record in reader:
+            if not record:
+                continue
+            lineno = reader.line_num  # the record's last physical line
+            if len(record) != 4:
+                raise CellTableError(f"line {lineno}: expected 4 fields")
+            problem, ordering_text, cells_text, timeout_text = record
+            ordering = checked.get(ordering_text)
+            if ordering is None or not problem:  # a new text, or a row that fails anyway
+                ordering = checked[ordering_text] = tuple(ordering_text.split(">"))
+                if not problem or "" in ordering:
+                    raise CellTableError(f"line {lineno}: empty problem or ordering field")
+                if len(set(ordering)) != len(ordering):
+                    raise CellTableError(f"line {lineno}: repeated variable in ordering {ordering_text!r}")
+            if timeout_text not in ("0", "1"):
+                raise CellTableError(f"line {lineno}: timeout must be 0 or 1")
+            timeout = timeout_text == "1"
+            if timeout:
+                if cells_text != "":
+                    raise CellTableError(f"line {lineno}: cell count present on a timed-out row")
+                cells = None
+            else:
+                digits = cells_text.isascii() and cells_text.isdigit()
+                cells = _int_of_digits(cells_text) if digits else 0
+                if cells <= 0:
+                    raise CellTableError(f"line {lineno}: cells must be a positive integer")
+            prows = index.setdefault(problem, {})
+            if ordering in prows:
                 raise CellTableError(
-                    f"line {lineno}: cell count present on a timed-out row"
+                    f"line {lineno}: duplicate row for problem {problem!r}, "
+                    f"ordering {ordering_text!r}"
                 )
-            cells = None
-        else:
-            digits = cells_text.isascii() and cells_text.isdigit()
-            cells = _int_of_digits(cells_text) if digits else 0
-            if cells <= 0:
-                raise CellTableError(
-                    f"line {lineno}: cells must be a positive integer"
-                )
-        prows = index.setdefault(problem, {})
-        if ordering in prows:
-            raise CellTableError(
-                f"line {lineno}: duplicate row for problem {problem!r}, "
-                f"ordering {ordering_text!r}"
-            )
-        prows[ordering] = row = CellCountRow(problem, ordering, cells, timeout)
-        rows.append(row)
+            prows[ordering] = CellCountRow(problem, ordering, cells, timeout)
+    except csv.Error as exc:
+        raise CellTableError(f"line {reader.line_num}: {exc}") from None
 
     expected: dict[Ordering, set[Ordering]] = {}  # sorted variables -> their permutations
     for problem, prows in index.items():
@@ -153,7 +143,7 @@ def load_cell_table(data: bytes | str) -> CellCountTable:
             expected[variables] = set(permutations(variables))
         if prows.keys() != expected[variables]:
             raise CellTableError(f"incomplete orderings for problem {problem!r}")
-    return CellCountTable(tuple(rows), index)
+    return CellCountTable(tuple(row for prows in index.values() for row in prows.values()), index)
 
 
 def best_pick_counts(

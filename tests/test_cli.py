@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cadorder
-from cadorder import enumerate_orderings, format_ordering, parse_system
+from cadorder import CellTableError, enumerate_orderings, format_ordering, load_cell_table, parse_system
 from cadorder.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -181,6 +181,17 @@ class TestOrderings:
         assert lines[0].split() == ["ordering", "sotd", "ndrr"]
         assert lines[1].split() == ["x>y", "5", "1"]
         assert lines[2].split() == ["y>x", "4", "1"]
+
+    @pytest.mark.parametrize("path", [
+        *(FIXTURES / "problems" / f"p{i}.poly" for i in range(1, 5)),
+        Path(__file__).parents[1] / "perfbench" / "data" / "corpus" / "r4v2p_000.poly",
+    ], ids=["p1", "p2", "p3", "p4", "r4v2p_000"])
+    def test_columns_line_up(self, path):
+        # the name column is as wide as the header's word or the longest
+        # ordering, whichever is wider: 1 to 4 variables print shorter ones
+        code, out, err = invoke(["orderings", str(path)])
+        assert (code, err) == (0, "")
+        assert len({len(line) for line in out.splitlines()}) == 1
 
 
 class TestProject:
@@ -399,6 +410,19 @@ class TestBench:
             second = invoke(self.ARGS + ["--format", fmt])
             assert first == second
             assert first[0] == 0
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "bare-cr"])
+def test_undecodable_byte_named_at_one_line_by_both_readers(tmp_path, newline):
+    """A .poly file and a cell table are decoded one way, so the same bytes
+    put a bad byte on the same line for both."""
+    data = newline.join([b"problem,ordering,cells,timeout", b"p1,x>y,5,0", b"p1,y>x,7\xff,0", b""])
+    bad = tmp_path / "bad.poly"
+    bad.write_bytes(data)
+    code, out, err = invoke(["analyze", str(bad)])
+    assert (code, out, err) == (2, "", f"cadorder: parse error: line 3, column 9: {bad}: invalid UTF-8 byte 0xff\n")
+    with pytest.raises(CellTableError, match=r"^line 3: invalid UTF-8 byte 0xff$"):
+        load_cell_table(data)
 
 
 def test_module_entry_point(demo_file):

@@ -1,8 +1,9 @@
 import random
 from itertools import permutations, product
+from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cadorder import (
@@ -140,6 +141,42 @@ def test_brown_triple_matches_two_pass_definition(system, seed):
                 max((m.total_degree for m in terms), default=0),
                 len(terms),
             )
+
+
+@st.composite
+def small_systems(draw):
+    """Systems of one or two polynomials in 2 or 3 variables, each a sum of
+    at most two terms of degree at most 2 in each variable and 3 in all.  In a symmetric system every
+    term comes with its whole orbit under renaming the variables, so every
+    ordering ties under every heuristic."""
+    variables = [x, y, z][:draw(st.integers(2, 3))]
+    symmetric = draw(st.booleans())
+    exponents = st.tuples(*[st.integers(0, 2)] * len(variables)).filter(lambda e: 0 < sum(e) <= 3)
+    polys = []
+    for _ in range(draw(st.integers(1, 2))):
+        terms = draw(st.dictionaries(exponents, st.integers(-3, 3).filter(bool), min_size=1, max_size=2))
+        p = Polynomial.zero()
+        for exps, c in terms.items():
+            orbit = set(permutations(exps)) if symmetric else {exps}
+            p = p + Polynomial({Monomial(zip(variables, e)): c for e in orbit})
+        if not p.is_zero():
+            polys.append(p)
+    assume(polys)
+    return PolySystem.make(polys, variables=variables), symmetric
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=small_systems())
+def test_chosen_is_the_least_of_sorted_candidates(case):
+    """choose reports the first candidate, and that is the lexicographic
+    tie-break: every heuristic lists its candidates in sorted order."""
+    system, symmetric = case
+    for h in ("brown", "sotd", "ndrr"):
+        report = choose(system, h)
+        assert report.candidates == tuple(sorted(report.candidates))
+        assert report.chosen == lex_tiebreak(report.candidates)
+        if symmetric:
+            assert len(report.candidates) == factorial(len(system.variables))
 
 
 class TestMetrics:

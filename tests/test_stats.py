@@ -149,6 +149,24 @@ class TestLoad:
         with pytest.raises(CellTableError, match=r"^bad header '\\ufeffproblem,ordering,cells,timeout'"):
             load_cell_table("\ufeff" + data)
 
+    @pytest.mark.parametrize("line", [1, 4], ids=["header", "after-valid-rows"])
+    def test_csv_error_names_line(self, line):
+        # csv's own error, here a field one character over its limit, names
+        # the line it stopped at, whether in the header or after valid rows
+        rows = ["problem,ordering,cells,timeout", "p1,x>y,5,0", "p1,y>x,7,0", "p2,x,5,0"]
+        rows[line - 1] = "x" * (csv.field_size_limit() + 1) + ",x,5,0"
+        with pytest.raises(CellTableError, match=f"^line {line}: "):
+            load_cell_table("\n".join(rows) + "\n")
+
+    def test_interleaved_problems_grouped_once(self):
+        # rows are the index flattened: each row once, grouped by problem in
+        # the order each problem first appears
+        table = small_table([("p1", "x>y", 5, 0), ("p2", "x", 3, 0), ("p1", "y>x", 7, 0)])
+        assert [(r.problem_id, r.ordering) for r in table.rows] == [
+            ("p1", ("x", "y")), ("p1", ("y", "x")), ("p2", ("x",))
+        ]
+        assert CellCountTable(table.rows, table.index) == table
+
     def test_nonpositive_cells(self):
         with pytest.raises(CellTableError, match="positive integer"):
             small_table([("p1", "x", 0, 0)])
