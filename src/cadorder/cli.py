@@ -120,12 +120,10 @@ def _cmd_bench(args, out) -> None:
         raise CellTableError(f"cannot read {args.cells}: {exc.strerror}")
     picks: dict[str, dict[str, tuple[str, ...]]] = {h: {} for h in HEURISTICS}
     for path in poly_files:
-        system = _read_system(str(path))
-        try:
-            for h in HEURISTICS:
-                picks[h][path.stem] = choose(system, h).chosen
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        args.file = str(path)  # so that run names it in an error
+        system = _read_system(args.file)
+        for h in HEURISTICS:
+            picks[h][path.stem] = choose(system, h).chosen
     report = compute_report(table, picks)
     out.write(emit_report(report, args.format).decode("utf-8"))
 
@@ -179,8 +177,8 @@ def run(argv: list[str], out=None, err=None) -> int:
     except CellTableError as exc:
         err.write(f"cadorder: cell table error: {exc}\n")
         return EXIT_DATA
-    except ValueError as exc:
-        err.write(f"cadorder: error: {exc}\n")
+    except ValueError as exc:  # about the input in args.file, which bench sets per problem
+        err.write(f"cadorder: error: {args.file}: {exc}\n")
         return EXIT_USAGE
 
 

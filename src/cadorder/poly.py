@@ -75,17 +75,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
 
 class Variable(str):
-    """A named variable: a str that is a valid identifier, so it compares,
+    """A named variable: a str that is an ASCII identifier, so it compares,
     hashes and orders as its name."""
 
     __slots__ = ()
 
     def __new__(cls, name: str) -> "Variable":
-        if not _NAME_RE.match(name):
+        if not (name.isascii() and name.isidentifier()):
             raise ValueError(f"invalid variable name: {name!r}")
         return super().__new__(cls, name)
 

@@ -1,6 +1,8 @@
 import io
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -8,6 +10,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import cadorder
 from cadorder import CellTableError, enumerate_orderings, format_ordering, load_cell_table, parse_system
@@ -170,7 +174,7 @@ class TestAnalyze:
         constant.write_text("5\n")
         for heuristic in ("brown", "sotd", "ndrr", "all"):
             code, out, err = invoke(["analyze", str(constant), "--heuristic", heuristic])
-            assert (code, out, err) == (1, "", "cadorder: error: no variables to order\n")
+            assert (code, out, err) == (1, "", f"cadorder: error: {constant}: no variables to order\n")
 
 
 class TestOrderings:
@@ -192,6 +196,15 @@ class TestOrderings:
         code, out, err = invoke(["orderings", str(path)])
         assert (code, err) == (0, "")
         assert len({len(line) for line in out.splitlines()}) == 1
+
+    @pytest.mark.parametrize("text, reason", [
+        ("5\n", "no variables to order"),
+        (" + ".join("abcdefgh") + "\n", "8 variables exceed the enumeration cap of 7"),
+    ], ids=["constant", "eight-variables"])
+    def test_error_names_file_exit_1(self, tmp_path, text, reason):
+        path = tmp_path / "p.poly"
+        path.write_text(text)
+        assert invoke(["orderings", str(path)]) == (1, "", f"cadorder: error: {path}: {reason}\n")
 
 
 class TestProject:
@@ -435,6 +448,23 @@ def test_module_entry_point(demo_file):
     assert "chosen: x>y>z" in proc.stdout
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["bench", "--problems", "{bad}", "--cells", "{missing}"], 1, "usage error: not a directory: {bad}"),
+    (["analyze", "{bad}"], 2, "parse error: line 1, column 6: {bad}: unexpected end of line"),
+    (["bench", "--problems", "{problems}", "--cells", "{missing}"],
+     3, "cell table error: cannot read {missing}: No such file or directory"),
+], ids=["usage-1", "parse-2", "cell-table-3"])
+def test_exit_status_leaves_the_process(tmp_path, argv, code, message):
+    """main hands run's status to sys.exit, so the process exits with it."""
+    bad = tmp_path / "bad.poly"
+    bad.write_text("x^2 +\n")
+    names = {"bad": bad, "problems": FIXTURES / "problems", "missing": tmp_path / "missing.csv"}
+    env = dict(os.environ, PYTHONPATH=str(Path(cadorder.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "cadorder.cli", *(a.format(**names) for a in argv)],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", f"cadorder: {message.format(**names)}\n")
+
+
 @pytest.mark.parametrize("seed", ["0", "1"])
 def test_outputs_do_not_depend_on_the_hash_seed(seed):
     """Levels, orderings and reports come out in the same order whatever
@@ -481,7 +511,7 @@ def test_brown_candidate_cap_exit_1(tmp_path, heuristic):
     path.write_text(" + ".join("abcdefghijkl") + "\n")
     code, out, err = invoke(["analyze", str(path), "--heuristic", heuristic])
     assert (code, out) == (1, "")
-    assert err == "cadorder: error: 479001600 Brown candidates exceed the enumeration cap of 5040\n"
+    assert err == f"cadorder: error: {path}: 479001600 Brown candidates exceed the enumeration cap of 5040\n"
 
 
 def test_orderings_rows_match_the_corpus_goldens():
@@ -506,12 +536,12 @@ def test_orderings_rows_match_the_corpus_goldens():
 
 @pytest.mark.parametrize("problem", ["p1", "p2", "p3", "p4"])
 def test_pinned_output_bytes(problem):
-    """analyze --format text and json, orderings, and project at every
-    ordering in lexicographic order, concatenated, print exactly the bytes
-    under fixtures/cli; the text files were written before Polynomial stopped
-    caching its text, which reduce_level sorts each projection level by, and
-    the json files before analyze built one record per heuristic for both
-    formats."""
+    """analyze --format text and json, orderings, project at every ordering
+    in lexicographic order, concatenated, and roots on the one univariate
+    fixture print exactly the bytes under fixtures/cli; the text files were
+    written before Polynomial stopped caching its text, which reduce_level
+    sorts each projection level by, and the json files before analyze built
+    one record per heuristic for both formats."""
     path = FIXTURES / "problems" / f"{problem}.poly"
     orderings = enumerate_orderings(parse_system(path.read_text()).variables)
     argvs = {
@@ -520,8 +550,36 @@ def test_pinned_output_bytes(problem):
         "orderings.txt": [["orderings", str(path)]],
         "project.txt": [["project", str(path), "--order", format_ordering(o)] for o in orderings],
     }
+    if problem == "p4":
+        argvs["roots.txt"] = [["roots", str(path)]]
     for name, runs in argvs.items():
         results = [invoke(argv) for argv in runs]
         assert all(code == 0 and err == "" for code, _, err in results)
         text = "".join(out for _, out, _ in results)
         assert text.encode("utf-8") == (FIXTURES / "cli" / f"{problem}.{name}").read_bytes()
+
+
+# the pieces of a short .poly text: names, digits, operators, comments,
+# declarations, separators and blanks
+_POLY_PIECES = ("x", "y", "z", *"0123456789", *"+-*^()#", "vars:", ",", " ", "\t", "\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_POLY_PIECES), max_size=16).map("".join))
+def test_any_short_text_exits_0_1_or_2(tmp_path_factory, text):
+    """Whatever a short text holds, each command on it exits 0, 1 or 2 and
+    raises nothing; it writes nothing to stderr on success and one line
+    naming the program otherwise."""
+    # nothing bounds the work yet: x^99+y+z with y^99+z+x ran over 10 minutes
+    # and (x*y+z)^16+1 takes seconds
+    assume(math.prod(int(e) for e in re.findall(r"\^[ \t]*([0-9]+)", text)) <= 4)
+    path = tmp_path_factory.mktemp("any") / "any.poly"
+    path.write_text(text)
+    for argv in (["analyze", str(path), "--format", "json"], ["roots", str(path)],
+                 ["orderings", str(path)], ["project", str(path), "--order", "x>y>z"]):
+        code, out, err = invoke(argv)
+        assert code in (0, 1, 2), (argv, err)
+        if code == 0:
+            assert err == ""
+        else:
+            assert out == "" and err.startswith("cadorder: ") and err.count("\n") == 1 and err.endswith("\n")

@@ -75,6 +75,19 @@ class TestValueSemantics:
             with pytest.raises(ValueError, match="invalid variable name"):
                 Variable(bad)
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(st.sampled_from("aZ_09 -\n\t\x00éßǅⅨ٣"), max_size=4))
+    def test_variable_names_are_ascii_identifiers(self, name):
+        # the oracle spells out an ASCII identifier; é, ß, ǅ, Ⅸ and ٣ are
+        # identifier characters to str.isidentifier, but not ASCII
+        valid = re.match(r"[A-Za-z_][A-Za-z0-9_]*\Z", name) is not None
+        try:
+            Variable(name)
+        except ValueError:
+            assert not valid, name
+        else:
+            assert valid, name
+
     def test_monomial_is_its_pair_tuple(self):
         pairs = ((x, 2), (y, 1))
         built = [
