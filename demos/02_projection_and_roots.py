@@ -1,6 +1,7 @@
 """Show what the metric heuristics actually compute: the projection levels
-behind sotd, and the root counts behind ndrr, where Descartes bisection races
-Sturm's theorem on the squarefree part and the first to finish gives the count."""
+behind sotd, and the root counts behind ndrr, where Descartes' rule of signs in
+continued fractions (Akritas & Strzeboński 2005) races Sturm's theorem on the
+squarefree part and the first to finish gives the count."""
 
 from cadorder import (
     Variable,

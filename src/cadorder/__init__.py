@@ -1,9 +1,10 @@
 """Variable-ordering heuristics for cylindrical algebraic decomposition.
 
 Exact sparse polynomial arithmetic over the integers, McCallum-style
-projection, real-root counting by a race of Descartes bisection against the
-Sturm chain, the Brown/sotd/ndrr ordering heuristics, and a benchmark harness
-over externally supplied cell counts.
+projection, real-root counting by a race of Descartes continued fractions
+(Akritas & Strzeboński 2005) against the Sturm chain, the Brown/sotd/ndrr
+ordering heuristics, and a benchmark harness over externally supplied cell
+counts.
 """
 
 from .heuristics import (

@@ -39,7 +39,7 @@ def _read_system(path: str) -> PolySystem:
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}", 1, 1)
+        raise ParseError(f"cannot read {path}: {exc.strerror}")
     try:
         return parse_system(_decode(data))
     except ParseError as exc:

@@ -37,10 +37,10 @@ _lines = re.compile(r"\r\n?|\n").split
 
 
 class ParseError(ValueError):
-    """Syntax or semantic error with a 1-based source position."""
+    """Syntax or semantic error with its 1-based source position, if any."""
 
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"line {line}, column {col}: {message}")
+    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+        super().__init__(message if line is None else f"line {line}, column {col}: {message}")
         self.line = line
         self.col = col
         self.reason = message

@@ -21,22 +21,24 @@ by it, which makes it +-G; the squarefree part is that division's quotient of
 p by gcd(p, p').  An unlucky prime costs time, never a wrong answer.
 
 Root counting races two exact methods on the squarefree part and returns the
-first count: Descartes bisection (Collins & Akritas 1976; Rouillier &
-Zimmermann, JCAM 162, 2004) and Sturm's theorem on the integer remainder
-chain.  Neither wins everywhere.  On dense inputs of degree 60 to 100 the
-Sturm chain's big-integer remainders take over ten times as long as the
-Taylor shifts of bisection; x^100 - 2(1000x - 1)^2 has two roots about
-1e-153 apart, which bisection separates in hundreds of levels, while its
-Sturm chain is a few short remainders.  Each method yields the modelled cost
-of its next step before taking it, and the race advances whichever has spent
-less, so it stays within about twice the faster method.  The costs depend on
-degrees and coefficient bit lengths only, never on the clock, so counts and
-operation counts are reproducible.  They are in nanoseconds, fitted to
+first count: Descartes' rule of signs in continued fractions (Akritas &
+Strzeboński, Nonlinear Analysis: Modelling and Control 10, 2005) and Sturm's
+theorem on the integer remainder chain.  Neither wins everywhere.  On dense
+inputs of degree 60 to 100 the Sturm chain's big-integer remainders take
+hundreds of times as long as the Taylor shifts of continued fractions;
+x^100 - 2(1000x - 1)^2 has two roots about 1e-153 apart, which continued
+fractions separate in 50 shifts, while its Sturm chain is four short
+remainders.  Each method yields the modelled cost of its next step before
+taking it, and the race advances whichever has spent less, so it stays
+within twice the faster method plus one step of the slower.  The costs depend
+on degrees and coefficient bit lengths only, never on the clock, so counts
+and operation counts are reproducible.  They are in nanoseconds, fitted to
 per-step times over the benchmark's level-1 inputs on a 2-core host with
 Python 3.11:
 
 - a Taylor shift of degree d, largest coefficient of s bits:
-  2800 + 390 d + d(d + 1)/2 (44 + 1.35 (s + d)/64), charged twice on a split;
+  2800 + 390 d + d(d + 1)/2 (44 + 1.35 (s + d)/64), charged the same for
+  the shift to g(2^k x + 2^k), on the scaled coefficients;
 - a Sturm step from a to b, of lengths la and lb and bit lengths sa and sb:
   4750 + lb (105 + 208 wr + 5 wr^2), where wr = (sa + (la - lb + 1) sb)/64
   is the word length of the pseudo-remainder's coefficients.
@@ -46,10 +48,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate, count
 from math import gcd, lcm
-from operator import ne, or_
+from operator import ne
 from typing import Iterable
 
 from .poly import Monomial, Polynomial, Variable, _prem, _render, _trim
@@ -292,42 +293,57 @@ def _taylor_shift(a: list[int]) -> list[int]:
     return out
 
 
+def _shift_cost(g: list[int]) -> float:
+    d = len(g) - 1
+    return 2800 + 390 * d + d * (d + 1) / 2 * (44 + 1.35 * (_bits(g) + d) / 64)
+
+
+def _variations(g: list[int]) -> int:
+    return _sign_changes([c > 0 for c in g if c])
+
+
 def _descartes(f: list[int]):
-    """Descartes bisection on squarefree f, each Taylor shift's modelled cost
-    yielded before it runs.  By Descartes' rule a polynomial with 0 or 1 sign
-    variations has that many positive roots.  f and f(-x) are tried first;
-    a half with more is scaled into (0, 1) by the root bound
-    2^k >= 1 + max|f_i| / |lc f|.  A node g on (0, 1) has as many roots as
-    rev(g)(x + 1) has variations, if 0 or 1; otherwise it splits into
-    2^d g(x/2) and 2^d g((x + 1)/2), less their common power of two, and a
-    root at the midpoint is counted exactly."""
-    roots, stack = 0, []
+    """Descartes' rule of signs in continued fractions (Akritas & Strzeboński,
+    Nonlinear Analysis: Modelling and Control 10, 2005) on squarefree f, each
+    Taylor shift's modelled cost yielded before it runs.  A node with 0 or 1
+    sign variations has that many positive roots; f and f(-x) are the first
+    two.  A node g with more becomes g(2^s x + 2^s) when 2^s >= 2 bounds its
+    positive roots below (Kioustelidis' bound on rev(g), read from bit
+    lengths); otherwise it splits into g(x + 1), for its roots above 1, and
+    (x + 1)^d g(1/(x + 1)), for those in (0, 1).  By Budan's theorem the
+    second has as many as g has sign variations more than g(x + 1), less one
+    for a root at 1 and an even number, so 0 or 1 settles it with no shift.
+    A root that a shift puts on 0 is counted once, as a root at 0 of a node."""
+    roots = 0
     if not f[0]:
         roots, f = 1, f[1:]
-    k = (-(-max(map(abs, f[:-1]), default=0) // abs(f[-1]))).bit_length()
-    for h in (f, [-c if i % 2 else c for i, c in enumerate(f)]):
-        v = _sign_changes([c > 0 for c in h if c])
-        if v < 2:
-            roots += v
-        else:
-            stack.append([c << i * k for i, c in enumerate(h)])
+    stack = [f, [-c if i % 2 else c for i, c in enumerate(f)]]
     while stack:
         g = stack.pop()
-        d = len(g) - 1
-        cost = 2800 + 390 * d + d * (d + 1) / 2 * (44 + 1.35 * (_bits(g) + d) / 64)
+        if not g[0]:
+            roots, g = roots + 1, g[1:]
+        v = _variations(g)
+        if v < 2:
+            roots += v
+            continue
+        b0, pos = abs(g[0]).bit_length(), g[0] > 0
+        s = min((b0 - abs(c).bit_length() - 1) // k for k, c in enumerate(g) if c and (c < 0) == pos) - 1
+        if s > 0:
+            g = [c << i * s for i, c in enumerate(g)]
+            yield _shift_cost(g)
+            stack.append(_taylor_shift(g))
+            continue
+        cost = _shift_cost(g)
         yield cost
-        v = _sign_changes([c > 0 for c in _taylor_shift(g[::-1]) if c])
+        right = _taylor_shift(g)
+        stack.append(right)
+        v -= _variations(right) + (not right[0])  # roots in (0, 1), less an even number
         if v == 1:
             roots += 1
-        elif v > 1:
+        elif v:
             yield cost
-            left = [c << d - i for i, c in enumerate(g)]
-            twos = reduce(or_, left)
-            left = [c >> (twos & -twos).bit_length() - 1 for c in left]
-            right = _taylor_shift(left)
-            if not right[0]:
-                roots, right = roots + 1, right[1:]
-            stack += left, right
+            left = _taylor_shift(g[::-1])  # a root at 1 is right's, not left's
+            stack.append(left if left[0] else left[1:])
     return roots
 
 
@@ -344,8 +360,9 @@ def _race(*methods):
 
 
 def count_distinct_real_roots(p: UnivariatePolynomial) -> int:
-    """Number of distinct real roots of p: Descartes bisection raced against
-    Sturm's theorem on the squarefree part."""
+    """Number of distinct real roots of p: Descartes' rule of signs in
+    continued fractions (Akritas & Strzeboński 2005) raced against Sturm's
+    theorem on the squarefree part."""
     if p.is_zero():
         raise ValueError("identically zero has infinitely many roots")
     sf = squarefree_part(p).coefficients

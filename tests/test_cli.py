@@ -166,8 +166,8 @@ class TestAnalyze:
         assert code == 1 and "usage error" in err
 
     def test_missing_file_exit_2(self):
-        code, _, err = invoke(["analyze", "no_such_file.poly"])
-        assert code == 2
+        code, out, err = invoke(["analyze", "no_such_file.poly"])
+        assert (code, out, err) == (2, "", "cadorder: parse error: cannot read no_such_file.poly: No such file or directory\n")
 
     def test_no_variables_exit_1(self, tmp_path):
         constant = tmp_path / "constant.poly"
@@ -390,8 +390,7 @@ class TestBench:
         problems, entry = self.problems_with(tmp_path, "dir.poly")
         entry.mkdir()
         code, out, err = invoke(["bench", "--problems", str(problems)] + self.ARGS[3:])
-        assert code == 2 and out == ""
-        assert f"cannot read {entry}" in err
+        assert (code, out, err) == (2, "", f"cadorder: parse error: cannot read {entry}: Is a directory\n")
 
     def test_no_variables_names_file_exit_1(self, tmp_path):
         problems, constant = self.problems_with(tmp_path, "constant.poly")
@@ -532,6 +531,28 @@ def test_orderings_rows_match_the_corpus_goldens():
         assert {o: (int(s), int(n)) for o, s, n in rows} == {
             o: (v, values["ndrr"][o]) for o, v in values["sotd"].items()
         }, path.name
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["orderings"], ["project", "--order", "x>y"], ["roots"]])
+@pytest.mark.parametrize("kind, reason", [("missing", "No such file or directory"), ("directory", "Is a directory")])
+def test_unreadable_file_has_no_position(tmp_path, command, kind, reason):
+    """A file that cannot be read is a parse error (exit 2) without a line
+    and column, since it has no text to point into."""
+    path = tmp_path / f"{kind}.poly"
+    if kind == "directory":
+        path.mkdir()
+    argv = [command[0], str(path), *command[1:]]
+    assert invoke(argv) == (2, "", f"cadorder: parse error: cannot read {path}: {reason}\n")
+
+
+def test_pinned_close_roots_bytes():
+    """roots on Mignotte polynomials, clustered and repeated factors prints
+    exactly the counts under fixtures/cli.  The file stays out of
+    fixtures/problems, whose every .poly file bench and CI read."""
+    path = FIXTURES / "roots" / "close_roots.poly"
+    code, out, err = invoke(["roots", str(path)])
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (FIXTURES / "cli" / "close_roots.roots.txt").read_bytes()
 
 
 @pytest.mark.parametrize("problem", ["p1", "p2", "p3", "p4"])

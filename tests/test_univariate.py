@@ -2,6 +2,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -387,17 +388,45 @@ def tagged(method, tag):
     return tag, (yield from method)
 
 
+def metered(method, costs):
+    """The method as a race side that appends each cost it yields to costs."""
+    while True:
+        try:
+            cost = next(method)
+        except StopIteration as done:
+            return done.value
+        costs.append(cost)
+        yield cost
+
+
 def mignotte(d, a):
     """x^d - 2(a*x - 1)^2: two roots within about a^-(d/2) of 1/a."""
     return upoly(-2, 4 * a, -2 * a * a, *[0] * (d - 3), 1)
 
 
+def dense80():
+    """A dense degree-80 polynomial with 64-bit coefficients and 6 real roots."""
+    rng = random.Random(80)
+    return upoly(*(rng.randint(-(2**63), 2**63) for _ in range(80)), 2**63)
+
+
 def dyadic(k, m):
-    """2^k x - m, whose root m / 2^k lies on a bisection midpoint."""
+    """2^k x - m, whose root m / 2^k is a dyadic rational: shifts by 1 and
+    scalings by powers of two can put it exactly on 0 or 1."""
     return upoly(-m, 2**k)
 
 
 _DYADIC = st.tuples(st.integers(0, 10), st.integers(-64, 64))
+
+
+def product(draw, factors):
+    """The product of the factors, mirrored (x -> -x) if draw says so."""
+    p = upoly(1)
+    for f in factors:
+        p = _mul(p, f)
+    if draw(st.booleans()):
+        p = upoly(*(-c if i % 2 else c for i, c in enumerate(p.coefficients)))
+    return p
 
 
 @st.composite
@@ -411,12 +440,36 @@ def dyadic_products(draw):
         factors.append(upoly(0, 1))
     if draw(st.booleans()):
         factors.append(upoly(draw(st.integers(1, 9)), 0, 1))  # no real roots
-    p = upoly(1)
-    for f in factors:
-        p = _mul(p, f)
-    if draw(st.booleans()):  # x -> -x
-        p = upoly(*(-c if i % 2 else c for i, c in enumerate(p.coefficients)))
-    return p
+    return product(draw, factors)
+
+
+@st.composite
+def continued_fraction_products(draw):
+    """Products of factors that reach what bisection never did: roots at
+    m 2^j for |j| up to 200, which the power-of-two lower-bound shifts can
+    put on 1; clustered pairs above 1, 2^-k apart; a root at 1 and at 0;
+    irreducible quadratics; optionally mirrored."""
+    factors = []
+    for m, j in draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(-200, 200)), max_size=4)):
+        factors.append(upoly(-m * 2**j, 1) if j >= 0 else dyadic(-j, m))
+    for a, k in draw(st.lists(st.tuples(st.integers(2, 2**20), st.integers(1, 80)), max_size=2)):
+        factors += [upoly(-a, 1), dyadic(k, a * 2**k + 1)]
+    for root in (0, 1):
+        if draw(st.booleans()):
+            factors.append(upoly(-root, 1))
+    for b in draw(st.lists(st.integers(-2**40, 2**40), max_size=2)):
+        factors.append(upoly(b * b // 4 + draw(st.integers(1, 9)), b, 1))  # b^2 < 4c
+    return product(draw, factors)
+
+
+def race_inputs():
+    """The Mignotte grid, the dense degree-80 input and the p4 fixture."""
+    p4 = parse_system((Path(__file__).parent / "fixtures" / "problems" / "p4.poly").read_text())
+    return [pytest.param(mignotte(d, a), id=f"mignotte-{d}-{a}")
+            for d in (20, 40, 60, 80, 100) for a in (10, 10**3, 10**6)] + [
+        pytest.param(dense80(), id="dense80"),
+        pytest.param(to_univariate(p4.polynomials[0], x), id="p4"),
+    ]
 
 
 class TestRootCountRace:
@@ -430,10 +483,20 @@ class TestRootCountRace:
         assert alone(_sturm, p) == expected
         assert count_distinct_real_roots(p) == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(p=continued_fraction_products())
+    def test_continued_fractions_match_the_sturm_oracle(self, p):
+        if p.degree < 1:
+            return
+        expected = sturm_oracle(p)
+        assert alone(_descartes, p) == expected
+        assert alone(_sturm, p) == expected
+        assert count_distinct_real_roots(p) == expected
+
     @pytest.mark.parametrize("j", [1, 2, 3, 5, 8, 20])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_root_near_the_bound(self, j, sign):
-        # (x - m)(x^2 + 1), m = 2^j - 1: the bound is 2^j, half of it below m
+        # (x - m)(x^2 + 1), m = 2^j - 1: one root just below a power of two
         p = _mul(upoly(-sign * (2**j - 1), 1), upoly(1, 0, 1))
         assert alone(_descartes, p) == alone(_sturm, p) == 1
 
@@ -449,10 +512,37 @@ class TestRootCountRace:
         assert min(times) < 0.05
 
     def test_each_side_wins_somewhere(self):
-        rng = random.Random(80)
-        dense = upoly(*(rng.randint(-(2**63), 2**63) for _ in range(80)), 2**63)
-        for p, winner in ((dense, "descartes"), (mignotte(20, 10), "sturm")):
+        for p, winner in ((dense80(), "descartes"), (mignotte(20, 10), "sturm")):
             sf = _int_coeffs(squarefree_part(p))
             count = alone(_descartes, p)
             assert alone(_sturm, p) == count
             assert _race(tagged(_descartes(sf), "descartes"), tagged(_sturm(sf), "sturm")) == (winner, count)
+
+    @pytest.mark.parametrize("p", race_inputs())
+    def test_race_charges_at_most_twice_the_cheaper_side(self, p):
+        """The side that returns first has spent no more than the other, so
+        the race charges at most twice the cheaper side's total, plus the one
+        step the other side may take past it; no clock involved."""
+        sf = _int_coeffs(squarefree_part(p))
+        totals = []
+        for method in (_descartes, _sturm):
+            costs = []
+            _race(metered(method(sf), costs))
+            totals.append((sum(costs), max(costs, default=0)))
+        charged = [], []
+        _race(metered(_descartes(sf), charged[0]), metered(_sturm(sf), charged[1]))
+        (cheaper, _), (_, other_step) = sorted(totals)
+        assert sum(charged[0]) + sum(charged[1]) <= 2 * cheaper + other_step
+
+    @pytest.mark.parametrize("p, descartes_steps, sturm_steps", [
+        pytest.param(dense80(), 14, 80, id="dense80"),
+        pytest.param(mignotte(20, 10), 11, 4, id="mignotte-20-10"),
+    ])
+    def test_steps_each_side_takes(self, p, descartes_steps, sturm_steps):
+        """Continued fractions take 14 and 11 Taylor shifts here, where
+        bisection took 23 and 130."""
+        sf = _int_coeffs(squarefree_part(p))
+        for method, steps in ((_descartes, descartes_steps), (_sturm, sturm_steps)):
+            costs = []
+            _race(metered(method(sf), costs))
+            assert len(costs) == steps
