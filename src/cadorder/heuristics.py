@@ -67,12 +67,11 @@ def brown_triple(system: PolySystem, v: Variable) -> BrownTriple:
     crit2 = 0
     crit3 = 0
     for p in system.polynomials:
-        for m in p.terms:
-            d = m.degree_in(v)
-            if d > 0:
+        for d, c in enumerate(p.coefficients_wrt(v)):
+            if d and c:  # the terms with v^d: c times v^d
                 crit1 = max(crit1, d)
-                crit2 = max(crit2, m.total_degree)
-                crit3 += 1
+                crit2 = max(crit2, d + c.total_degree())
+                crit3 += len(c._terms)
     return BrownTriple(crit1, crit2, crit3)
 
 
@@ -102,12 +101,7 @@ def brown_candidates(system: PolySystem) -> list[VariableOrdering]:
 
 def sotd_value(ps: ProjectionSet) -> int:
     """Sum of total degrees of every monomial on every level, input included."""
-    return sum(
-        m.total_degree
-        for level in ps.levels
-        for p in level
-        for m in p.terms
-    )
+    return sum(k >> p._layout.top for level in ps.levels for p in level for k in p._terms)
 
 
 def ndrr_value(ps: ProjectionSet) -> int:

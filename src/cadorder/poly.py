@@ -1,39 +1,40 @@
 """Sparse multivariate polynomials over the integers.
 
-Polynomials are stored as a map from monomials to nonzero arbitrary-precision
-integer coefficients.  Everything here is immutable and pure, so values can be
-shared freely between threads.  The module also provides the resultant and
-discriminant machinery needed to build CAD projection sets; resultants are
-computed with a subresultant polynomial remainder sequence, staying in the
-integer ring throughout.  Its pseudo-remainders come from ``_prem``, the one
-fixed-step pseudo-division on dense coefficient lists, which the univariate
-chains share; it works in the coefficients' own ring, and the gcd over GF(p)
-reduces its remainders itself.
+A Polynomial maps packed integer keys, one per monomial, to nonzero
+arbitrary-precision integer coefficients, and holds the ``_Layout`` its keys
+are packed in (Monagan and Pearce, "Polynomial division using dynamic arrays,
+heaps, and packed exponent vectors", CASC 2007; *JSC* 46, 2011).  Everything
+here is immutable and pure, so values can be shared freely between threads.
+The module also provides the resultant and discriminant machinery needed to
+build CAD projection sets; resultants are computed with a subresultant
+polynomial remainder sequence, staying in the integer ring throughout.  Its
+pseudo-remainders come from ``_prem``, the one fixed-step pseudo-division on
+dense coefficient lists, which the univariate chains share.
 
-No stored coefficient is ever 0.  ``Polynomial(terms)`` drops zeros from any
-mapping; in arithmetic only the pair-by-pair product needs that.
-``_from_terms`` takes as it is a dict that has none by construction: from sums
-and differences, which drop a term as it cancels, negation, scaling by a
-nonzero int, the packed product, ``coefficients_wrt``, ``derivative``,
-``canonicalize``, ``exact_div`` and Kronecker read-back.
+A layout has variables in name order and one field width: 16 bits, or a
+multiple of 16 that a larger total degree needs.  A key has one field for the
+total degree, at the top, and then one field per variable, in name order; the
+top bit of every field is a guard bit, kept clear because every polynomial's
+total degree stays below it.  No field can overflow into the next, so
 
-``Monomial`` is the only monomial type outside this module.  Inside it, a
-product with many term pairs and an exact division by a non-constant
-polynomial work on packed integer keys, one per monomial, made once per call
-and unpacked into Monomials at the end (Monagan and Pearce, "Polynomial
-division using dynamic arrays, heaps, and packed exponent vectors", CASC
-2007).  A key has one field for the total degree, at the top, and then one
-field per variable of the operands in name order, all of the same width: the
-bit length of the largest total degree the call can reach, plus one guard bit
-at the top of each field.  No field can overflow into the next, so
-
-- the key of a product of monomials is the sum of their keys;
+- the key of a product of monomials is the sum of their keys; a product whose
+  total degree would reach a guard bit is repacked wider first;
 - comparing keys compares the total degree first and then the exponents in
   name order, which is graded-lex order (``Monomial.order_key``), so the
   largest key is the leading monomial;
 - ``k - j`` is the key of a monomial quotient exactly when no guard bit of
   the difference is set: an exponent of j larger than k's borrows, and the
-  borrow sets the guard bit of the lowest such field.
+  borrow sets the guard bit of the lowest such field;
+- an exponent, or the total degree, is a shift and a mask.
+
+There is one layout per variables and width.  ``PolySystem.make`` repacks a
+system into one, and all that is computed from it keeps that layout, so an
+operation tests one identity; operands in two layouts are repacked into the
+union of their variables at the larger width.  Equality and hashing do not
+depend on the layout.  ``Monomial`` is the only monomial type outside this
+module: ``Polynomial(terms)`` packs a mapping by Monomial, and ``.terms``
+unpacks one anew on each access.  ``_from_terms`` takes as it is a key dict
+that has no zero coefficient by construction.
 
 A pseudo-remainder in ``resultant`` whose operands have more than
 ``_LOOP_MAX_TERMS`` terms in all runs by Kronecker substitution (von zur
@@ -42,7 +43,8 @@ and b, a polynomial in the other variables, becomes one int, its value at
 x_j = 2^(w s_j): the plain sum of its terms shifted into their slots, where
 s_j is x_j's stride in a dense degree box and w is the slot width in bits.
 The loop of ``_prem`` runs on those ints, and each int of the remainder is
-read back slot by slot.  Substitution is a ring homomorphism, so no
+read back slot by slot into keys, in a layout wide enough for the box.
+Substitution is a ring homomorphism, so no
 intermediate value can overflow; only the remainder has to fit, and with
 steps = len(a) - len(b) + 1 it does:
 
@@ -72,6 +74,7 @@ import re
 import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
@@ -136,14 +139,7 @@ class Monomial(tuple):
         return 0
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        if not self:
-            return other
-        if not other:
-            return self
-        summed = dict(self)
-        for v, e in other:
-            summed[v] = summed.get(v, 0) + e
-        return tuple.__new__(Monomial, sorted(summed.items()))
+        return Monomial([*self, *other])  # the exponents of a variable in both are summed
 
     def order_key(self) -> tuple:
         """Ascending sort key for descending graded-lex order, variables ranked
@@ -153,77 +149,87 @@ class Monomial(tuple):
         return (-self.total_degree, tuple((v, -e) for v, e in self))
 
 
-_ONE_MONOMIAL = Monomial(())
-
-# Products with at most this many term pairs multiply Monomials pair by pair.
-# Packing has a fixed cost per call (scanning the variables, packing every
-# term, unpacking every result) of about 20 pair merges; on the products that
-# projections make, packing wins from about 50-80 term pairs on (2-core Xeon,
-# Python 3.11).  Most products (parser, pseudo-remainder) have a single-term
-# or constant operand.
-_PAIR_MERGE_MAX = 64
+# Bits per key field, guard bit included, unless a total degree needs more.
+_WIDTH = 16
 
 
-def _packing(operands: Iterable[Mapping[Monomial, int]], degree: int):
-    """``(pack, unpack, guards)`` for the packed-key layout described in the
-    module docstring, over the variables of ``operands``, for monomials of
-    total degree at most ``degree``.  ``guards`` has every guard bit set."""
-    vs = sorted({v for terms in operands for m in terms for v, _ in m})
-    w = degree.bit_length() + 1
-    shifts = [(v, (len(vs) - 1 - i) * w) for i, v in enumerate(vs)]
-    top = 1 << (len(vs) * w)  # a unit in the total-degree field
-    unit = {v: (1 << s) + top for v, s in shifts}
-    field = (1 << w) - 1
-    guards = sum(1 << (i * w + w - 1) for i in range(len(vs) + 1))
+def _width(degree: int) -> int:
+    """The smallest multiple of _WIDTH whose guard bit lies above ``degree``."""
+    return _WIDTH * (degree.bit_length() // _WIDTH + 1)
 
-    def pack(m: Monomial) -> int:
-        return sum([e * unit[v] for v, e in m])
 
-    def unpack(k: int) -> Monomial:
-        return tuple.__new__(Monomial, [(v, e) for v, s in shifts if (e := k >> s & field)])
+class _Layout:
+    """Where each variable's exponent and the total degree lie in a key (see
+    the module docstring); ``_layout`` makes one per variables and width."""
 
-    return pack, unpack, guards
+    __slots__ = ("variables", "width", "top", "mask", "guards", "shifts", "units")
+
+    def __init__(self, variables: tuple[Variable, ...], width: int):
+        n, variables = len(variables), tuple(map(Variable, variables))  # a name may come as a plain str
+        self.variables, self.width, self.top, self.mask = variables, width, n * width, (1 << width) - 1
+        self.guards = sum(1 << (i * width + width - 1) for i in range(n + 1))
+        self.shifts = {v: (n - 1 - i) * width for i, v in enumerate(variables)}
+        self.units = {v: (1 << s) + (1 << self.top) for v, s in self.shifts.items()}  # the key of v
+
+
+_layout = cache(_Layout)
+_EMPTY = _layout((), _WIDTH)
 
 
 class Polynomial:
     """Immutable sparse polynomial with integer coefficients."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_layout")
 
     def __init__(self, terms: Mapping[Monomial, int]):
-        self._terms = {m: c for m, c in terms.items() if c != 0}
+        terms = {m: c for m, c in terms.items() if c != 0}
+        lay = _layout(tuple(sorted({v for m in terms for v, _ in m})),
+                      _width(max([m.total_degree for m in terms], default=0)))
+        self._terms, self._layout = {sum([e * lay.units[v] for v, e in m]): c for m, c in terms.items()}, lay
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero() -> "Polynomial":
-        return Polynomial({})
+        return _from_terms({}, _EMPTY)
 
     @staticmethod
     def constant(c: int) -> "Polynomial":
-        return Polynomial({_ONE_MONOMIAL: c})
+        return _from_terms({0: c} if c else {}, _EMPTY)
 
     @staticmethod
     def variable(v: Variable) -> "Polynomial":
-        return Polynomial({Monomial([(v, 1)]): 1})
+        lay = _layout((v,), _WIDTH)
+        return _from_terms({lay.units[v]: 1}, lay)
 
     # -- basic protocol ----------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[Monomial, int]:
-        return self._terms
+    def terms(self) -> dict[Monomial, int]:
+        """The terms by Monomial, unpacked anew on each access."""
+        fields, mask = self._layout.shifts.items(), self._layout.mask
+        return {tuple.__new__(Monomial, [(v, e) for v, s in fields if (e := k >> s & mask)]): c
+                for k, c in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_constant(self) -> bool:
-        return not any(self._terms)  # every monomial the empty tuple
+        return not any(self._terms)  # every key 0
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Polynomial) and self._terms == other._terms
+        if not isinstance(other, Polynomial):
+            return False
+        if self._layout is not other._layout and len(self._terms) == len(other._terms):
+            degree = self.total_degree()
+            if degree != other.total_degree():
+                return False
+            if degree:  # a constant's key is 0 in every layout
+                self, other = _joint(self, other)
+        return self._terms == other._terms
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+    def __hash__(self) -> int:  # of what no layout changes: the total degree and the coefficients
+        return hash((max(self._terms, default=0) >> self._layout.top, frozenset(self._terms.values())))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -231,19 +237,29 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({self})"
 
+    def _repack(self, lay: "_Layout") -> "Polynomial":
+        """self in ``lay``, which has every variable of self and a width no smaller."""
+        old = self._layout
+        if old is lay:
+            return self
+        moves = [(s, old.mask, lay.units[v]) for v, s in old.shifts.items() if v in lay.units]
+        return _from_terms({sum([(k >> s & m) * u for s, m, u in moves]): c for k, c in self._terms.items()}, lay)
+
     # -- arithmetic --------------------------------------------------------
 
     def _plus(self, other: "Polynomial | int", sign: int) -> "Polynomial":
         """self + sign * other, for a sign of 1 or -1."""
         if isinstance(other, int):
-            other = Polynomial.constant(other)
+            other = _from_terms({0: other} if other else {}, self._layout)
+        elif self._layout is not other._layout:
+            self, other = _joint(self, other)
         out = dict(self._terms)
-        for m, c in other._terms.items():  # a term that cancels is dropped at once
-            if s := out.get(m, 0) + sign * c:
-                out[m] = s
+        for k, c in other._terms.items():  # a term that cancels is dropped at once
+            if s := out.get(k, 0) + sign * c:
+                out[k] = s
             else:
-                del out[m]
-        return _from_terms(out)
+                del out[k]
+        return _from_terms(out, self._layout)
 
     def __add__(self, other: "Polynomial | int") -> "Polynomial":
         return self._plus(other, 1)
@@ -251,36 +267,37 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return _from_terms({m: -c for m, c in self._terms.items()})
+        return _from_terms({k: -c for k, c in self._terms.items()}, self._layout)
 
     def __sub__(self, other: "Polynomial | int") -> "Polynomial":
         return self._plus(other, -1)
 
     def __rsub__(self, other: int) -> "Polynomial":
-        return Polynomial.constant(other) - self
+        return -self + other
 
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":
         if isinstance(other, int):
-            return _from_terms({m: c * other for m, c in self._terms.items()} if other else {})
-        a, b = self._terms, other._terms
-        if len(a) * len(b) <= _PAIR_MERGE_MAX:
-            out: dict[Monomial, int] = {}
-            for m1, c1 in a.items():
-                for m2, c2 in b.items():
-                    m = m1 * m2
-                    out[m] = out.get(m, 0) + c1 * c2
-            return Polynomial(out)
-        # kept: the pair merge at every size read hard cpu_s 3.42 -> 3.52 s and won 3
-        # of 10 pairs (medians of alternating perfbench runs, 2 cores, Python 3.11)
-        pack, unpack, _ = _packing((a, b), self.total_degree() + other.total_degree())
-        kb = [(pack(m), c) for m, c in b.items()]
+            return _from_terms({k: c * other for k, c in self._terms.items()} if other else {}, self._layout)
+        if self._layout is not other._layout:
+            self, other = _joint(self, other)
+        lay, a, b = self._layout, self._terms, other._terms
+        if not (a and b):
+            return _from_terms({}, lay)
+        degree = (max(a) >> lay.top) + (max(b) >> lay.top)
+        if degree.bit_length() >= lay.width:  # it would reach a guard bit
+            lay = _layout(lay.variables, _width(degree))
+            a, b = self._repack(lay)._terms, other._repack(lay)._terms
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:  # a one-term factor: every key of the product is new, no coefficient 0
+            ((k2, c2),) = b.items()
+            return _from_terms({k + k2: c * c2 for k, c in a.items()}, lay)
         acc: dict[int, int] = {}
-        for m1, c1 in a.items():
-            k1 = pack(m1)
-            for k2, c2 in kb:
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
                 k = k1 + k2
                 acc[k] = acc.get(k, 0) + c1 * c2
-        return _from_terms({unpack(k): c for k, c in acc.items() if c})
+        return _from_terms({k: c for k, c in acc.items() if c}, lay)
 
     __rmul__ = __mul__
 
@@ -299,48 +316,44 @@ class Polynomial:
     # -- structure ---------------------------------------------------------
 
     def variables(self) -> frozenset[Variable]:
-        return frozenset(v for m in self._terms for v, _ in m)
+        mask = self._layout.mask
+        return frozenset(v for v, s in self._layout.shifts.items() if any(k >> s & mask for k in self._terms))
 
     def degree_in(self, v: Variable) -> int:
         """Maximum exponent of ``v`` over all terms; 0 for the zero polynomial."""
-        return max((m.degree_in(v) for m in self._terms), default=0)
+        lay = self._layout
+        s = lay.shifts.get(v)
+        return 0 if s is None else max([k >> s & lay.mask for k in self._terms], default=0)
 
     def total_degree(self) -> int:
         """Maximum monomial total degree; 0 for the zero polynomial."""
-        return max([sum([e for _, e in m]) for m in self._terms], default=0)
+        return max(self._terms, default=0) >> self._layout.top
 
     def coefficients_wrt(self, v: Variable) -> list["Polynomial"]:
         """Coefficient polynomials of v^0 .. v^deg, none involving ``v``."""
-        buckets: list[dict[Monomial, int]] = [{}]
-        for m, c in self._terms.items():
-            for i, (w, e) in enumerate(m):
-                if w == v:
-                    while len(buckets) <= e:
-                        buckets.append({})
-                    buckets[e][tuple.__new__(Monomial, m[:i] + m[i + 1:])] = c
-                    break
-            else:
-                buckets[0][m] = c
-        return [_from_terms(b) for b in buckets]
+        lay = self._layout
+        if v not in lay.shifts:
+            return [self]
+        s, mask, unit = lay.shifts[v], lay.mask, lay.units[v]
+        buckets: list[dict[int, int]] = [{}]
+        for k, c in self._terms.items():
+            e = k >> s & mask
+            while len(buckets) <= e:
+                buckets.append({})
+            buckets[e][k - e * unit] = c
+        return [_from_terms(b, lay) for b in buckets]
 
     def derivative(self, v: Variable) -> "Polynomial":
         # distinct monomials in v stay distinct when v's exponent drops by 1
-        return _from_terms({Monomial([(w, k - 1 if w == v else k) for w, k in m]): c * e
-                            for m, c in self._terms.items() if (e := m.degree_in(v))})
+        lay = self._layout
+        if v not in lay.shifts:
+            return _from_terms({}, lay)
+        s, mask, unit = lay.shifts[v], lay.mask, lay.units[v]
+        return _from_terms({k - unit: c * e for k, c in self._terms.items() if (e := k >> s & mask)}, lay)
 
     def leading_coefficient(self) -> int:
         """Coefficient of the graded-lex-leading term; 0 for the zero polynomial."""
-        if not self._terms:
-            return 0
-        # kept: min over all terms by order_key read corpus cpu_s 4.90 -> 4.99 s, won 3 of 10
-        top, lead = -1, []  # the monomials of top total degree
-        for m in self._terms:
-            d = sum([e for _, e in m])
-            if d > top:
-                top, lead = d, [m]
-            elif d == top:
-                lead.append(m)
-        return self._terms[lead[0] if len(lead) == 1 else min(lead, key=Monomial.order_key)]
+        return self._terms[max(self._terms)] if self._terms else 0
 
     def content(self) -> int:
         """Gcd of the absolute coefficient values; 0 for the zero polynomial."""
@@ -349,14 +362,23 @@ class Polynomial:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        return _render(self._terms)
+        return _render(self._terms, self._layout)
 
 
-def _from_terms(terms: dict[Monomial, int]) -> Polynomial:
-    """The Polynomial of ``terms``, taken as it is: no coefficient may be 0."""
+def _from_terms(terms: dict[int, int], lay: _Layout) -> Polynomial:
+    """The Polynomial of ``terms``, keys packed in ``lay``, taken as it is: no
+    coefficient may be 0."""
     p = object.__new__(Polynomial)
-    p._terms = terms
+    p._terms, p._layout = terms, lay
     return p
+
+
+def _joint(*polys: Polynomial) -> list[Polynomial]:
+    """``polys`` repacked into one layout: the union of their variables at
+    the largest width."""
+    lay = _layout(tuple(sorted({v for p in polys for v in p._layout.variables})),
+                  max([p._layout.width for p in polys]))
+    return [p._repack(lay) for p in polys]
 
 
 _ONE = Polynomial.constant(1)
@@ -393,15 +415,16 @@ def _int_of_digits(text: str) -> int:
     return n
 
 
-def _render(terms: Mapping[Monomial, int | Fraction]) -> str:
-    """Infix text of a sum of terms in graded-lex order, each coefficient
-    written exactly: an int as digits, a Fraction as ``n/d``."""
+def _render(terms: Mapping[int, int | Fraction], lay: _Layout) -> str:
+    """Infix text of a sum of terms by key in ``lay``, in graded-lex order,
+    each coefficient written exactly: an int as digits, a Fraction as ``n/d``."""
     if not terms:
         return "0"
     chunks: list[str] = []
-    for m in sorted(terms, key=Monomial.order_key):
-        c = terms[m]
-        factors = [f"{v}^{e}" if e > 1 else str(v) for v, e in m]
+    shifts, mask = lay.shifts.items(), lay.mask
+    for k in sorted(terms, reverse=True):
+        c = terms[k]
+        factors = [f"{v}^{e}" if e > 1 else v for v, s in shifts if (e := k >> s & mask)]
         if abs(c) != 1 or not factors:
             factors.insert(0, _decimal(abs(c)))
         chunks.append(("- " if c < 0 else "+ ") + "*".join(factors))
@@ -418,26 +441,28 @@ def canonicalize(p: Polynomial) -> Polynomial:
         c = -c
     if c == 1:  # kept: without it and exact_div's, corpus cpu_s 4.87 -> 5.09 s, won 0 of 10
         return p
-    return _from_terms({m: coeff // c for m, coeff in p.terms.items()})
+    return _from_terms({k: coeff // c for k, coeff in p._terms.items()}, p._layout)
 
 
 def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
     """Exact polynomial quotient p / d; raises when the division is inexact.
 
-    The remainder is kept by packed key, and its leading term is the largest
-    key on a max-heap.  No remainder term ever exceeds p's total degree."""
+    The remainder is kept by key, and its leading term is the largest key on
+    a max-heap.  No remainder term ever exceeds p's total degree."""
     if d.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if d.is_constant():  # a constant divides each term of p on its own
-        (lc_d,) = d.terms.values()
+        lc_d = d._terms[0]
         if lc_d == 1:  # kept, like canonicalize's unit return
             return p
-        if any(c % lc_d for c in p.terms.values()):
+        if any(c % lc_d for c in p._terms.values()):
             raise ArithmeticError("inexact polynomial division")
-        return _from_terms({m: c // lc_d for m, c in p.terms.items()})
-    pack, unpack, guards = _packing((p.terms, d.terms), max(p.total_degree(), d.total_degree()))
-    (k_d, lc_d), *rest = sorted(((pack(m), c) for m, c in d.terms.items()), reverse=True)
-    r = {pack(m): c for m, c in p.terms.items()}
+        return _from_terms({k: c // lc_d for k, c in p._terms.items()}, p._layout)
+    if p._layout is not d._layout:
+        p, d = _joint(p, d)
+    guards = p._layout.guards
+    (k_d, lc_d), *rest = sorted(d._terms.items(), reverse=True)
+    r = dict(p._terms)
     heap = [-k for k in r]  # r's keys, negated; a key no longer in r is stale
     heapify(heap)
     quotient: dict[int, int] = {}
@@ -463,7 +488,7 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
                     r[t] = rc
                 else:
                     del r[t]
-    return _from_terms({unpack(k): c for k, c in quotient.items()})
+    return _from_terms(quotient, p._layout)
 
 
 # -- resultants ------------------------------------------------------------
@@ -498,33 +523,32 @@ def _kronecker_prem(a: list, b: list, max_slots: int | None = None) -> list | No
     the ints, and the remainder's ints are read back slot by slot.  None when
     the degree box has more than ``max_slots`` slots."""
     steps = len(a) - len(b) + 1
-    deg_a: dict[Variable, int] = {}
-    deg_b: dict[Variable, int] = {}
-    for coeffs, deg in ((a, deg_a), (b, deg_b)):
-        for c in coeffs:
-            for m in c.terms:
-                for v, e in m:
-                    if e > deg.get(v, 0):
-                        deg[v] = e
-    dims, slots = [], 1  # (variable, stride, extent) in name order
-    for v in sorted(deg_a.keys() | deg_b.keys()):
-        db = deg_b.get(v, 0)
-        extent = max(deg_a.get(v, 0), db) + steps * db + 1
-        dims.append((v, slots, extent))
-        slots *= extent
+    if len({c._layout for c in a + b}) > 1:
+        ab = _joint(*a, *b)
+        a, b = ab[:len(a)], ab[len(a):]
+    lay = a[0]._layout
+    mask = lay.mask
+    dims, slots = [], 1  # (variable, shift, stride, extent) of each variable present, in name order
+    for v, s in lay.shifts.items():
+        da, db = (max([k >> s & mask for c in coeffs for k in c._terms], default=0) for coeffs in (a, b))
+        if da or db:
+            extent = max(da, db) + steps * db + 1
+            dims.append((v, s, slots, extent))
+            slots *= extent
     if max_slots is not None and slots > max_slots:
         return None
-    stride = {v: s for v, s, _ in dims}
+    out = _layout(lay.variables, max(lay.width, _width(sum([ext - 1 for *_, ext in dims]))))  # fits every slot
+    places = [(out.units[v], stride, extent) for v, _, stride, extent in dims]
 
     def norm(c: Polynomial) -> int:
-        return sum(map(abs, c.terms.values()))
+        return sum(map(abs, c._terms.values()))
 
     lead = norm(b[-1]) + max(map(norm, b[:-1]), default=0)
     width = (max(map(norm, a), default=0).bit_length() + steps * lead.bit_length()) // 8 + 1
     half = (1 << (8 * width - 1)).to_bytes(width, "little")  # a slot's bias; width is in bytes
 
     def encode(c: Polynomial) -> int:
-        return sum([k << 8 * width * sum([e * stride[v] for v, e in m]) for m, k in c.terms.items()])
+        return sum([n << 8 * width * sum([(k >> s & mask) * st for _, s, st, _ in dims]) for k, n in c._terms.items()])
 
     def decode(n: int) -> Polynomial:
         count = min(n.bit_length() // (8 * width) + 1, slots)  # up to n's top slot
@@ -534,10 +558,10 @@ def _kronecker_prem(a: list, b: list, max_slots: int | None = None) -> list | No
         hit = _NONZERO_BYTE.search(data)
         while hit:
             s = hit.start() // width
-            m = tuple.__new__(Monomial, [(v, e) for v, st, ext in dims if (e := s // st % ext)])
-            terms[m] = int.from_bytes(data[s * width:(s + 1) * width], "little", signed=True)
+            k = sum([s // st % ext * unit for unit, st, ext in places])
+            terms[k] = int.from_bytes(data[s * width:(s + 1) * width], "little", signed=True)
             hit = _NONZERO_BYTE.search(data, (s + 1) * width)
-        return _from_terms(terms)
+        return _from_terms(terms, out)
 
     return [decode(n) for n in _prem([encode(c) for c in a], [encode(c) for c in b])]
 
@@ -574,6 +598,8 @@ def resultant(p: Polynomial, q: Polynomial, v: Variable) -> Polynomial:
     """
     if p.is_zero() or q.is_zero():
         raise ValueError("zero operand")
+    if p._layout is not q._layout:
+        p, q = _joint(p, q)
     a, b = p.coefficients_wrt(v), q.coefficients_wrt(v)
     dp, dq = len(a) - 1, len(b) - 1
     if dq == 0:  # q**0 is 1 when both degrees are 0
@@ -658,4 +684,5 @@ class PolySystem:
             if missing:
                 names = ", ".join(sorted(missing))
                 raise ValueError(f"undeclared variables in system: {names}")
-        return PolySystem(vs, polys)
+        lay = _layout(vs, max([p._layout.width for p in polys], default=_WIDTH))
+        return PolySystem(vs, tuple([p._repack(lay) for p in polys]))

@@ -53,7 +53,7 @@ from math import gcd, lcm
 from operator import ne
 from typing import Iterable
 
-from .poly import Monomial, Polynomial, Variable, _prem, _render, _trim
+from .poly import Polynomial, Variable, _layout, _prem, _render, _trim, _width
 
 
 @dataclass(frozen=True)
@@ -86,18 +86,20 @@ class UnivariatePolynomial:
 
     def __str__(self) -> str:
         """Exact rational coefficients, e.g. ``-1/3*x + 1/2``; not .poly input."""
-        terms = {Monomial([(self.variable, i)]): c for i, c in enumerate(self.coefficients) if c}
-        return _render(terms)
+        lay = _layout((self.variable,), _width(len(self.coefficients)))
+        return _render({i * lay.units[self.variable]: c for i, c in enumerate(self.coefficients) if c}, lay)
 
 
 def to_univariate(p: Polynomial, v: Variable) -> UnivariatePolynomial:
     """View a multivariate polynomial involving at most ``v`` as univariate."""
-    powers = {}  # no stored coefficient is 0
-    for m, c in p.terms.items():
-        if m and (len(m) > 1 or m[0][0] != v):  # neither 1 nor a power of v
+    powers, lay = {}, p._layout  # no stored coefficient is 0
+    unit = lay.units.get(v, 0)
+    for k, c in p._terms.items():
+        e = k >> lay.top  # the total degree: the exponent of v if the term is a power of v
+        if k != e * unit:
             names = ", ".join(sorted(p.variables() - {v}))
             raise ValueError(f"polynomial is not univariate in {v}: also uses {names}")
-        powers[m[0][1] if m else 0] = c
+        powers[e] = c
     return UnivariatePolynomial(v, tuple([powers.get(i, 0) for i in range(max(powers, default=-1) + 1)]))
 
 

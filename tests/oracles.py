@@ -2,10 +2,11 @@
 algorithms: the resultant is recomputed here as an explicit Sylvester-matrix
 determinant by division-free minor expansion, the graded-lex monomial order
 as a comparison of dense exponent vectors, the polynomial product by merging
-the exponents of every pair of terms, the Sturm chain and the integer gcd
-by plain rational long division, and the projection set of an ordering, with
-its sotd and ndrr values, from sympy's resultant, derivative, primitive part
-and real-root isolation."""
+the exponents of every pair of terms, the rest of the arithmetic on
+``{Monomial: int}`` term dicts (the tuple oracle), the Sturm chain and the
+integer gcd by plain rational long division, and the projection set of an
+ordering, with its sotd and ndrr values, from sympy's resultant, derivative,
+primitive part and real-root isolation."""
 
 from __future__ import annotations
 
@@ -32,15 +33,120 @@ def grlex_terms(p: Polynomial) -> list[tuple[Monomial, int]]:
 def pair_merge_product(p: Polynomial, q: Polynomial) -> Polynomial:
     """p * q term pair by term pair, each monomial product merged in a dict
     of exponents: no packed keys and no Polynomial.__mul__."""
-    out: dict[Monomial, int] = {}
-    for m1, c1 in p.terms.items():
-        for m2, c2 in q.terms.items():
+    return Polynomial(tuple_product(p.terms, q.terms))
+
+
+# -- the tuple oracle ----------------------------------------------------------
+#
+# Polynomial arithmetic on {Monomial: int} term dicts, with no packed key in
+# sight: what the library computed before it stored packed keys.  A result
+# holds no zero coefficient.
+
+Terms = dict[Monomial, int]
+
+
+def _monomial(exps: dict) -> Monomial:
+    return Monomial({v: e for v, e in exps.items() if e})
+
+
+def tuple_sum(a: Terms, b: Terms, sign: int = 1) -> Terms:
+    """a + sign * b."""
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def tuple_product(a: Terms, b: Terms) -> Terms:
+    out: Terms = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
             exps = dict(m1.exps)
             for v, e in m2.exps:
                 exps[v] = exps.get(v, 0) + e
-            m = Monomial(exps)
+            m = _monomial(exps)
             out[m] = out.get(m, 0) + c1 * c2
-    return Polynomial(out)
+    return {m: c for m, c in out.items() if c}
+
+
+def tuple_power(a: Terms, n: int) -> Terms:
+    out = {Monomial(()): 1}
+    for _ in range(n):
+        out = tuple_product(out, a)
+    return out
+
+
+def tuple_degree_in(a: Terms, v: Variable) -> int:
+    return max((dict(m.exps).get(v, 0) for m in a), default=0)
+
+
+def tuple_coefficients_wrt(a: Terms, v: Variable) -> list[Terms]:
+    """The coefficients of v^0 .. v^deg, as term dicts free of v."""
+    out: list[Terms] = [{} for _ in range(tuple_degree_in(a, v) + 1)]
+    for m, c in a.items():
+        exps = dict(m.exps)
+        out[exps.pop(v, 0)][_monomial(exps)] = c
+    return out
+
+
+def tuple_derivative(a: Terms, v: Variable) -> Terms:
+    out: Terms = {}
+    for m, c in a.items():
+        exps = dict(m.exps)
+        e = exps.get(v, 0)
+        if e:
+            exps[v] = e - 1
+            out[_monomial(exps)] = c * e
+    return out
+
+
+def _tuple_grlex(a: Terms) -> list[tuple[Monomial, int]]:
+    var_order = tuple(sorted({v for m in a for v, _ in m.exps}))
+    return sorted(a.items(), key=lambda it: grlex_key(it[0], var_order), reverse=True)
+
+
+def tuple_leading_coefficient(a: Terms) -> int:
+    return _tuple_grlex(a)[0][1] if a else 0
+
+
+def tuple_canonicalize(a: Terms) -> Terms:
+    if not a:
+        return a
+    g = gcd(*a.values())
+    if tuple_leading_coefficient(a) < 0:
+        g = -g
+    return {m: c // g for m, c in a.items()}
+
+
+def tuple_exact_div(a: Terms, d: Terms) -> Terms:
+    """a / d by long division on graded-lex leading terms; ArithmeticError
+    when d does not divide a."""
+    (lead, lc), *_ = _tuple_grlex(d)
+    quotient: Terms = {}
+    while a:
+        (m, c), *_ = _tuple_grlex(a)
+        exps = dict(m.exps)
+        for v, e in lead.exps:
+            exps[v] = exps.get(v, 0) - e
+        if any(e < 0 for e in exps.values()) or c % lc:
+            raise ArithmeticError("inexact polynomial division")
+        step = {_monomial(exps): c // lc}
+        quotient = tuple_sum(quotient, step)
+        a = tuple_sum(a, tuple_product(step, d), -1)
+    return quotient
+
+
+def tuple_str(a: Terms) -> str:
+    """Infix text in graded-lex order, as ``str(Polynomial)`` writes it."""
+    if not a:
+        return "0"
+    text = ""
+    for m, c in _tuple_grlex(a):
+        factors = [f"{v}^{e}" if e > 1 else str(v) for v, e in m.exps]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        text += (" - " if c < 0 else " + ") + "*".join(factors)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def sylvester_matrix(p: Polynomial, q: Polynomial, v: Variable) -> list[list[Polynomial]]:

@@ -545,6 +545,15 @@ def test_unreadable_file_has_no_position(tmp_path, command, kind, reason):
     assert invoke(argv) == (2, "", f"cadorder: parse error: cannot read {path}: {reason}\n")
 
 
+@pytest.mark.parametrize("data", [b"", b"# only a comment\n\n  # and another\n"], ids=["0-byte", "comments-only"])
+def test_empty_system_has_no_position(tmp_path, data):
+    """A file without a polynomial is a parse error (exit 2) that names the
+    file but no line or column."""
+    path = tmp_path / "empty.poly"
+    path.write_bytes(data)
+    assert invoke(["analyze", str(path)]) == (2, "", f"cadorder: parse error: {path}: empty system\n")
+
+
 def test_pinned_close_roots_bytes():
     """roots on Mignotte polynomials, clustered and repeated factors prints
     exactly the counts under fixtures/cli.  The file stays out of

@@ -121,8 +121,11 @@ class TestParseSystem:
             parse_system("x - x")
 
     def test_empty_system_rejected(self):
-        with pytest.raises(ParseError, match="empty system"):
-            parse_system("# nothing here\n")
+        for text in ["", "# nothing here\n", "vars: x, y\n \n"]:
+            # no line or column: there is no polynomial to point at
+            with pytest.raises(ParseError, match="^empty system$") as info:
+                parse_system(text)
+            assert (info.value.line, info.value.col) == (None, None)
 
     def test_duplicate_declaration_rejected(self):
         with pytest.raises(ParseError, match="duplicate variable"):

@@ -7,11 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cadorder import (
-    Monomial, Polynomial, PolySystem, Variable, canonicalize, discriminant, parse_system, render, resultant,
+    Monomial, Polynomial, PolySystem, Variable, canonicalize, discriminant, full_projection, parse_system, render,
+    resultant,
 )
-from cadorder.poly import _LOOP_MAX_TERMS, _PAIR_MERGE_MAX, _kronecker_prem, _prem, _render, exact_div
+from cadorder.poly import _LOOP_MAX_TERMS, _kronecker_prem, _prem, exact_div
 from conftest import random_polynomial
-from oracles import grlex_terms, pair_merge_product, sylvester_resultant
+from oracles import (
+    grlex_terms, pair_merge_product, sylvester_resultant, tuple_canonicalize, tuple_coefficients_wrt,
+    tuple_degree_in, tuple_derivative, tuple_exact_div, tuple_leading_coefficient, tuple_power, tuple_product,
+    tuple_str, tuple_sum,
+)
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 X, Y, Z = Polynomial.variable(x), Polynomial.variable(y), Polynomial.variable(z)
@@ -181,19 +186,22 @@ class TestExactDiv:
             exact_div(X + 1, Polynomial.zero())
 
 
-# Exponents at field-width boundaries: a packed field is w bits wide with w - 1
-# bits for the largest value, so 2^k - 1 fills a field and 2^k widens it.
+# Small exponents, powers of two and one below them; and exponents at the
+# 16-bit field's guard bit: a total degree of 2^15 - 1 fits the field, and one
+# of 2^15 or more widens the layout.
 _BOUNDARY_EXPONENTS = sorted({0, 1, 2, 3} | {2**k - 1 for k in range(1, 8)} | {2**k for k in range(1, 8)})
+_GUARD_EXPONENTS = [2**14 - 1, 2**14, 2**15 - 1, 2**15]
 _KERNEL_VARIABLES = [Variable(n) for n in "abcdefg"]
 
 
 @st.composite
-def sparse_polynomials(draw, variables, min_terms=1, max_terms=4):
+def sparse_polynomials(draw, variables, min_terms=1, max_terms=4, wide=()):
     """Nonzero polynomials over ``variables`` with min_terms to max_terms
-    terms, most exponents zero, the others small or at field-width
-    boundaries."""
+    terms, most exponents zero and the others small; a variable in ``wide``
+    has an exponent of 0 or one at a guard bit."""
     exponent = st.one_of(st.just(0), st.just(0), st.sampled_from(_BOUNDARY_EXPONENTS))
-    monomial = st.lists(exponent, min_size=len(variables), max_size=len(variables)).map(
+    wide_exponent = st.one_of(st.just(0), st.sampled_from(_GUARD_EXPONENTS))
+    monomial = st.tuples(*[wide_exponent if v in wide else exponent for v in variables]).map(
         lambda es: Monomial(zip(variables, es))
     )
     monomials = draw(st.lists(monomial, min_size=min_terms, max_size=max_terms, unique=True))
@@ -206,34 +214,33 @@ def sparse_polynomials(draw, variables, min_terms=1, max_terms=4):
 
 
 @st.composite
-def operand_pairs(draw, packed):
-    """Two polynomials over 1-7 variables whose product has more than
-    _PAIR_MERGE_MAX term pairs (``packed``) or at most that many."""
-    variables = _KERNEL_VARIABLES[: draw(st.integers(1, 7))]
-    if packed:
-        a = draw(sparse_polynomials(variables, 6, 14))
-        b = draw(sparse_polynomials(variables, _PAIR_MERGE_MAX // len(a.terms) + 1, 14))
-    else:
-        a = draw(sparse_polynomials(variables, 1, 8))
-        b = draw(sparse_polynomials(variables, 1, _PAIR_MERGE_MAX // len(a.terms)))
-    return a, b
+def mixed_operands(draw, max_terms=6):
+    """A nonzero polynomial over 0-4 of a, b, c, d, the exponents of d up to
+    2^15, packed in a layout of its own variables or in the layout of a
+    system over all four."""
+    variables = draw(st.lists(st.sampled_from(_KERNEL_VARIABLES[:4]), max_size=4, unique=True))
+    p = draw(sparse_polynomials(variables, 1, max_terms, wide=_KERNEL_VARIABLES[3:4]))
+    return PolySystem.make([p], _KERNEL_VARIABLES[:4]).polynomials[0] if draw(st.booleans()) else p
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two polynomials, in different layouts or one, of up to 14 terms each."""
+    return draw(mixed_operands(14)), draw(mixed_operands(14))
 
 
 class TestPackedKernels:
-    @pytest.mark.parametrize("packed", [False, True], ids=["pair-merge", "packed"])
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_product_matches_pair_merge(self, packed, data):
-        a, b = data.draw(operand_pairs(packed))
-        assert (len(a.terms) * len(b.terms) > _PAIR_MERGE_MAX) == packed
+    @settings(max_examples=100, deadline=None)
+    @given(operand_pairs())
+    def test_product_matches_pair_merge(self, operands):
+        a, b = operands
         assert a * b == pair_merge_product(a, b)
         assert b * a == pair_merge_product(a, b)
 
-    @pytest.mark.parametrize("packed", [False, True], ids=["pair-merge", "packed"])
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_exact_div_recovers_factor(self, packed, data):
-        a, b = data.draw(operand_pairs(packed))
+    @settings(max_examples=100, deadline=None)
+    @given(operand_pairs())
+    def test_exact_div_recovers_factor(self, operands):
+        a, b = operands
         assert exact_div(a * b, b) == a
         assert exact_div(a * b, a) == b
 
@@ -279,12 +286,11 @@ class TestPackedKernels:
 
 
 def assert_well_formed(r):
-    """No stored zero, equal to a fresh construction, and the same text
-    before and after it is cached."""
+    """No stored zero, equal to a fresh construction, and the text of its
+    terms."""
     assert all(r.terms.values())
     assert r == Polynomial(dict(r.terms))
-    assert str(r) == _render(r.terms)
-    assert str(r) == _render(r.terms)
+    assert str(r) == tuple_str(r.terms)
 
 
 @st.composite
@@ -301,9 +307,9 @@ class TestTrustedConstruction:
     """Operations that build a Polynomial from a dict without the zero filter."""
 
     @settings(max_examples=80, deadline=None)
-    @given(data=st.data(), packed=st.booleans())
-    def test_results_hold_no_zero(self, data, packed):
-        a, b = data.draw(operand_pairs(packed))
+    @given(data=st.data())
+    def test_results_hold_no_zero(self, data):
+        a, b = data.draw(operand_pairs())
         k = data.draw(st.integers(-3, 3))
         c = Polynomial.constant(data.draw(st.integers(-(2**70), 2**70).filter(bool)))
         results = [a + b, a - b, a - a, a + (-a), -a, a * k, k * a, a * c, c * a, a * b, a**2, c**3]
@@ -335,6 +341,70 @@ class TestShortcuts:
     @given(top_degree_ties())
     def test_leading_coefficient_among_tied_top_terms(self, p):
         assert p.leading_coefficient() == p.terms[min(p.terms, key=Monomial.order_key)]
+
+
+class TestTupleOracle:
+    """Packed arithmetic against the same arithmetic on Monomial term dicts."""
+
+    # v is never d: the coefficients in d of a degree-2^15 polynomial make a
+    # list of 2^15 + 1 members
+    @settings(max_examples=150, deadline=None)
+    @given(a=mixed_operands(), b=mixed_operands(), v=st.sampled_from(_KERNEL_VARIABLES[:3]), n=st.integers(0, 3))
+    def test_matches_tuple_oracle(self, a, b, v, n):
+        ta, tb = a.terms, b.terms
+        d = _KERNEL_VARIABLES[3]
+        assert a.derivative(d).terms == tuple_derivative(ta, d) and a.degree_in(d) == tuple_degree_in(ta, d)
+        assert (a + b).terms == tuple_sum(ta, tb)
+        assert (a - b).terms == tuple_sum(ta, tb, -1)
+        assert (a * b).terms == tuple_product(ta, tb)
+        assert (a**n).terms == tuple_power(ta, n)
+        assert [c.terms for c in a.coefficients_wrt(v)] == tuple_coefficients_wrt(ta, v)
+        assert a.derivative(v).terms == tuple_derivative(ta, v)
+        assert a.degree_in(v) == tuple_degree_in(ta, v)
+        assert a.leading_coefficient() == tuple_leading_coefficient(ta)
+        assert canonicalize(a).terms == tuple_canonicalize(ta)
+        assert str(a) == tuple_str(ta)
+        try:
+            expected = tuple_exact_div(ta, tb)
+        except ArithmeticError:
+            with pytest.raises(ArithmeticError, match="inexact"):
+                exact_div(a, b)
+        else:
+            assert exact_div(a, b).terms == expected
+        assert exact_div(a * b, b).terms == tuple_exact_div(tuple_product(ta, tb), tb) == ta
+
+    def test_product_past_the_guard_bit_widens(self):
+        p = X ** (2**14) * Y ** (2**14 - 1)
+        assert (p * X).total_degree() == 2**15 and (p * X)._layout.width == 32
+        q = p * p * Z
+        assert q.terms == {Monomial({x: 2**15, y: 2**15 - 2, z: 1}): 1}
+        assert str(q) == "x^32768*y^32766*z" and exact_div(q, p) == p * Z
+
+
+class TestLayouts:
+    """Equality, hashing and ``.terms`` do not depend on the layout."""
+
+    def test_projection_member_equals_its_own_construction(self):
+        system = parse_system("w*x^2 + y*z - 1\nx*y - z^2 + w\n")
+        assert len(system.variables) == 4
+        level = full_projection(system, (x, y, z, Variable("w"))).levels[-1]
+        for p in level:
+            for alone in (Polynomial(p.terms), parse_system(render(p)).polynomials[0]):
+                assert alone._layout is not p._layout
+                assert alone == p and p == alone and hash(alone) == hash(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_operands())
+    def test_terms_rebuild_the_polynomial(self, p):
+        assert Polynomial(p.terms) == p and hash(Polynomial(p.terms)) == hash(p)
+        for m, c in p.terms.items():
+            assert type(m) is Monomial and c
+            assert m.total_degree == sum(e for _, e in m.exps)
+
+    def test_duplicate_line_in_a_wider_layout_collapses(self):
+        system = parse_system("x\nx + 0*y\n")
+        assert system.polynomials == (X,) and system.variables == (x,)
+        assert system.positions == ((1, 1),)
 
 
 @st.composite
