@@ -229,18 +229,40 @@ def operand_pairs(draw):
     return draw(mixed_operands(14)), draw(mixed_operands(14))
 
 
+@st.composite
+def layout_pairs(draw, shared):
+    """Two polynomials of up to 14 terms over 0-4 of a, b, c, d, each packed
+    in a layout of its own variables, or (``shared``) both repacked into the
+    one layout of a system over all four."""
+    pair = []
+    for _ in range(2):
+        variables = draw(st.lists(st.sampled_from(_KERNEL_VARIABLES[:4]), max_size=4, unique=True))
+        pair.append(draw(sparse_polynomials(variables, 1, 14, wide=_KERNEL_VARIABLES[3:4])))
+    if shared:
+        system = PolySystem.make(pair, _KERNEL_VARIABLES[:4]).polynomials
+        pair = [system[0], system[-1]]  # one polynomial if the two are equal
+    return tuple(pair)
+
+
+# "pair-merge": the kernel first merges the pair of layouts the operands are
+# packed in; "packed": both operands are packed in one layout already.
+_LAYOUT_IDS = ["pair-merge", "packed"]
+
+
 class TestPackedKernels:
+    @pytest.mark.parametrize("shared", [False, True], ids=_LAYOUT_IDS)
     @settings(max_examples=100, deadline=None)
-    @given(operand_pairs())
-    def test_product_matches_pair_merge(self, operands):
-        a, b = operands
+    @given(data=st.data())
+    def test_product_matches_pair_merge(self, shared, data):
+        a, b = data.draw(layout_pairs(shared))
         assert a * b == pair_merge_product(a, b)
         assert b * a == pair_merge_product(a, b)
 
+    @pytest.mark.parametrize("shared", [False, True], ids=_LAYOUT_IDS)
     @settings(max_examples=100, deadline=None)
-    @given(operand_pairs())
-    def test_exact_div_recovers_factor(self, operands):
-        a, b = operands
+    @given(data=st.data())
+    def test_exact_div_recovers_factor(self, shared, data):
+        a, b = data.draw(layout_pairs(shared))
         assert exact_div(a * b, b) == a
         assert exact_div(a * b, a) == b
 
