@@ -27,8 +27,9 @@ for ordering in [(y, x), (x, y)]:
     print("    sotd =", sotd_value(ps), " ndrr =", ndrr_value(ps))
     print()
 
-# The Sturm side of that race: x^2 - 2 has two real roots, and the
-# chain's sign variations at -inf and +inf differ by exactly 2.
+# The Sturm side of that race, on the integer chain it runs: x^2 - 2 has
+# two real roots, and the chain's sign variations at -inf and +inf differ
+# by exactly 2.
 u = to_univariate(parse_system("x^2 - 2").polynomials[0], Variable("x"))
 print("Sturm chain of x^2 - 2:")
 for s in sturm_sequence(squarefree_part(u)):

@@ -14,7 +14,6 @@ from .heuristics import (
     brown_triple,
     choose,
     enumerate_orderings,
-    lex_tiebreak,
     ndrr_value,
     sotd_value,
 )
@@ -54,7 +53,6 @@ from .univariate import (
     squarefree_part,
     sturm_sequence,
     to_univariate,
-    univariate_gcd,
 )
 
 __all__ = [
@@ -83,7 +81,6 @@ __all__ = [
     "enumerate_orderings",
     "format_ordering",
     "full_projection",
-    "lex_tiebreak",
     "load_cell_table",
     "ndrr_value",
     "parse_ordering",
@@ -98,5 +95,4 @@ __all__ = [
     "summarize",
     "timeout_avoidance",
     "to_univariate",
-    "univariate_gcd",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, permutations, product
 from math import factorial, prod
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .poly import PolySystem, Variable
 from .projection import ProjectionSet, VariableOrdering, full_projection
@@ -112,14 +112,6 @@ def ndrr_value(ps: ProjectionSet) -> int:
     return sum(
         count_distinct_real_roots(to_univariate(p, v)) for p in ps.levels[-1]
     )
-
-
-def lex_tiebreak(candidates: Iterable[VariableOrdering]) -> VariableOrdering:
-    """The lexicographically least ordering tuple, compared by variable names."""
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("no candidate orderings")
-    return min(candidates)
 
 
 def choose(system: PolySystem, heuristic: str) -> HeuristicReport:

@@ -75,7 +75,6 @@ import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cache
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 
@@ -390,11 +389,8 @@ _DIGITS = sys.int_info.str_digits_check_threshold - 1
 _BASE = 10**_DIGITS
 
 
-def _decimal(c: int | Fraction) -> str:
-    """``str(c)`` of an int or Fraction of any length."""
-    if isinstance(c, Fraction):
-        n, d = c.numerator, c.denominator
-        return _decimal(n) if d == 1 else f"{_decimal(n)}/{_decimal(d)}"
+def _decimal(c: int) -> str:
+    """``str(c)`` of an int of any length."""
     if -_BASE < c < _BASE:
         return str(c)
     n, pieces = abs(c), []
@@ -415,9 +411,9 @@ def _int_of_digits(text: str) -> int:
     return n
 
 
-def _render(terms: Mapping[int, int | Fraction], lay: _Layout) -> str:
+def _render(terms: Mapping[int, int], lay: _Layout) -> str:
     """Infix text of a sum of terms by key in ``lay``, in graded-lex order,
-    each coefficient written exactly: an int as digits, a Fraction as ``n/d``."""
+    each coefficient written exactly in decimal digits."""
     if not terms:
         return "0"
     chunks: list[str] = []
@@ -495,7 +491,7 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
 
 
 def _trim(coeffs: list) -> list:
-    """Drop zero leading coefficients: int, Fraction or Polynomial ones."""
+    """Drop zero leading coefficients: int or Polynomial ones."""
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
@@ -571,8 +567,8 @@ def _prem(a: list, b: list) -> list:
     by fixed-step pseudo-division (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R):
     each of da - db + 1 steps pops the leading coefficient, scales the rest
     by lc(b), unless lc(b) is 1, and subtracts the popped one times
-    x^k * b[:-1].  Coefficients may be Polynomials (resultants), ints or
-    Fractions (gcd, Sturm chains); `resultant` picks between this loop and
+    x^k * b[:-1].  Coefficients may be Polynomials (resultants) or ints
+    (gcd, Sturm chains); `resultant` picks between this loop and
     Kronecker substitution for Polynomial ones.  `_gcd_mod` reduces each
     remainder by a monic b mod p itself."""
     lc, tail = b[-1], b[:-1]

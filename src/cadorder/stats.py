@@ -64,9 +64,6 @@ class CellCountTable:
     def problems(self) -> list[str]:
         return sorted(self.index)
 
-    def rows_for(self, problem_id: str) -> list[CellCountRow]:
-        return list(self.index.get(problem_id, {}).values())
-
     def lookup(self, problem_id: str, ordering: Ordering) -> CellCountRow:
         row = self.index.get(problem_id, {}).get(ordering)
         if row is None:

@@ -1,12 +1,12 @@
-"""Univariate polynomials over the rationals: gcd, squarefree part, Sturm
+"""Univariate polynomials over the integers: squarefree part, Sturm
 sequences and exact counting of distinct real roots.
 
-Coefficients are exact: ints stay ints, any other value becomes a Fraction.
-Gcd, squarefree part and root counting run on integer coefficient lists scaled
-by positive factors, so root counts are exact.  Every remainder comes from
-`_prem`, the fixed-step pseudo-remainder that resultants in poly use too; by a
-monic divisor and reduced mod p it is the remainder over GF(p).  Signs at
-plus or minus infinity are read off leading coefficients and degree parity.
+Coefficients are ints.  Gcd, squarefree part, Sturm chain and root counting
+run on integer coefficient lists scaled by positive factors, so root counts
+are exact.  Every remainder comes from `_prem`, the fixed-step
+pseudo-remainder that resultants in poly use too; by a monic divisor and
+reduced mod p it is the remainder over GF(p).  Signs at plus or minus
+infinity are read off leading coefficients and degree parity.
 
 `_gcd_cofactor` takes the primitive parts of a and b and builds their gcd from
 its images modulo primes below 2^31 (Brown, JACM 18, 1971), from _P = 2^31 - 1
@@ -47,9 +47,8 @@ Python 3.11:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, count
-from math import gcd, lcm
+from math import gcd
 from operator import ne
 from typing import Iterable
 
@@ -58,16 +57,20 @@ from .poly import Polynomial, Variable, _layout, _prem, _render, _trim, _width
 
 @dataclass(frozen=True)
 class UnivariatePolynomial:
-    """Dense univariate polynomial: coefficients[i], an int or else a Fraction,
-    is the coefficient of variable**i, and the last stored one is nonzero."""
+    """Dense univariate polynomial: coefficients[i], an int, is the
+    coefficient of variable**i, and the last stored one is nonzero."""
 
     variable: Variable
-    coefficients: tuple[int | Fraction, ...]
+    coefficients: tuple[int, ...]
 
     @staticmethod
-    def make(variable: Variable, coefficients: Iterable[Fraction | int]) -> "UnivariatePolynomial":
-        return UnivariatePolynomial(
-            variable, tuple(_trim([c if type(c) is int else Fraction(c) for c in coefficients])))
+    def make(variable: Variable, coefficients: Iterable[int]) -> "UnivariatePolynomial":
+        """Raises TypeError for a coefficient that is not an int; a bool is one."""
+        coeffs = list(coefficients)
+        for c in coeffs:
+            if not isinstance(c, int):
+                raise TypeError(f"coefficient is not an integer: {type(c).__name__}")
+        return UnivariatePolynomial(variable, tuple(_trim([int(c) for c in coeffs])))
 
     @property
     def degree(self) -> int:
@@ -78,14 +81,14 @@ class UnivariatePolynomial:
         return not self.coefficients
 
     @property
-    def leading_coefficient(self) -> int | Fraction:
+    def leading_coefficient(self) -> int:
         return self.coefficients[-1] if self.coefficients else 0
 
     def derivative(self) -> "UnivariatePolynomial":
         return UnivariatePolynomial.make(self.variable, _derivative(self.coefficients))
 
     def __str__(self) -> str:
-        """Exact rational coefficients, e.g. ``-1/3*x + 1/2``; not .poly input."""
+        """Infix text, e.g. ``7*x^3 - x``, as ``str(Polynomial)`` writes it."""
         lay = _layout((self.variable,), _width(len(self.coefficients)))
         return _render({i * lay.units[self.variable]: c for i, c in enumerate(self.coefficients) if c}, lay)
 
@@ -105,13 +108,6 @@ def to_univariate(p: Polynomial, v: Variable) -> UnivariatePolynomial:
 
 # Coefficient-list kernels.  Integer chains take primitive parts to keep
 # coefficient growth under control.
-
-
-def _int_coeffs(p: UnivariatePolynomial) -> list[int]:
-    """Coefficients scaled by a positive common denominator; the numerators
-    themselves when every denominator is 1."""
-    denom = lcm(*(c.denominator for c in p.coefficients))
-    return [c.numerator * (denom // c.denominator) for c in p.coefficients]
 
 
 def _derivative(a) -> list:
@@ -231,49 +227,37 @@ def _gcd_cofactor(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
         return (g, q) if g[-1] > 0 else ([-c for c in g], [-c for c in q])
 
 
-def univariate_gcd(p: UnivariatePolynomial, q: UnivariatePolynomial) -> UnivariatePolynomial:
-    """Gcd, normalized to integer-primitive with positive leading coefficient."""
-    if p.is_zero() and q.is_zero():
-        raise ValueError("gcd of zeros")
-    g, _ = _gcd_cofactor(_int_coeffs(p), _int_coeffs(q))
-    return UnivariatePolynomial.make(p.variable, g)
-
-
 def squarefree_part(p: UnivariatePolynomial) -> UnivariatePolynomial:
     """p / gcd(p, p'): same distinct real roots, all multiplicities one."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    a = _int_coeffs(p)
-    _, sf = _gcd_cofactor(a, _derivative(a))
+    _, sf = _gcd_cofactor(p.coefficients, _derivative(p.coefficients))
     if sf[-1] < 0:
         sf = [-c for c in sf]
-    return UnivariatePolynomial.make(p.variable, sf)
+    return UnivariatePolynomial(p.variable, tuple(sf))
 
 
 def sturm_sequence(p: UnivariatePolynomial) -> list[UnivariatePolynomial]:
-    """Canonical Sturm chain: s0 = p, s1 = p', then negated Euclidean
-    remainders until the last nonzero member.
-
-    Each remainder is the shared pseudo-remainder by the monic divisor, so it
-    is exact and no rescaling is applied: signs are exactly those of the
-    textbook chain.  A constant p gives [p]; a non-squarefree p gives a chain
-    that stops at gcd(p, p') instead of a constant.
+    """Sturm chain of p on integers: p, pp(p'), then the primitive part of
+    minus the pseudo-remainder of the two members before, until the last
+    nonzero member; `_sturm` runs the same steps.  Each member after p is
+    the textbook one (negated Euclidean remainders over the rationals) made
+    primitive by a positive factor, so sign variations match the textbook
+    chain.  A constant p gives [p]; a non-squarefree p gives a chain that
+    stops at gcd(p, p') instead of a constant.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    chain = _remainder_sequence(
-        p.coefficients, p.derivative().coefficients,
-        lambda a, b: _negated_prem(a, [c / Fraction(b[-1]) for c in b]),
-    )
-    return [UnivariatePolynomial.make(p.variable, s) for s in chain]
+    chain = _remainder_sequence(p.coefficients, _pp_ints(_derivative(p.coefficients)),
+                                lambda a, b: _pp_ints(_negated_prem(a, b)))
+    return [UnivariatePolynomial(p.variable, tuple(s)) for s in chain]
 
 
 def _sturm(f: list[int]):
-    """Sturm's theorem on the integer chain of squarefree f, one remainder
-    per step, each step's modelled cost yielded before it runs.  Members are
-    scaled by positive factors only, so sign variations match the canonical
-    chain; only the sign of each leading coefficient and the length are
-    kept.  No member is zero; at minus infinity a sign flips for odd degree."""
+    """Sturm's theorem on the chain `sturm_sequence` gives for squarefree f,
+    one remainder per step, each step's modelled cost yielded before it runs;
+    only the sign of each leading coefficient and the length are kept.  No
+    member is zero; at minus infinity a sign flips for odd degree."""
     a, b = f, _pp_ints(_derivative(f))
     lcs, sa = [(a[-1] > 0, len(a))], _bits(a)
     while b:

@@ -1,4 +1,5 @@
-"""Each demo runs as a user would run it and prints exactly its pinned output."""
+"""Each demo runs as a user would run it and prints exactly its pinned output;
+warnings are errors, as in the rest of the suite."""
 
 import os
 import subprocess
@@ -15,7 +16,7 @@ EXPECTED = Path(__file__).parent / "fixtures" / "demos"
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_output(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, env=env, cwd=ROOT)
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], capture_output=True, env=env, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (EXPECTED / f"{demo.stem}.txt").read_bytes()
 
@@ -28,6 +29,6 @@ def test_readme_library_example():
     expected = "".join(line.split("# ", 1)[1] + "\n" for line in block.splitlines() if "# " in line)
     assert expected == "y>x\n{'x>y': 5, 'y>x': 4}\n"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True, env=env, cwd=ROOT)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", block], capture_output=True, text=True, env=env, cwd=ROOT)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == expected

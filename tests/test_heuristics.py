@@ -18,7 +18,6 @@ from cadorder import (
     choose,
     enumerate_orderings,
     full_projection,
-    lex_tiebreak,
     ndrr_value,
     sotd_value,
 )
@@ -174,7 +173,7 @@ def test_chosen_is_the_least_of_sorted_candidates(case):
     for h in ("brown", "sotd", "ndrr"):
         report = choose(system, h)
         assert report.candidates == tuple(sorted(report.candidates))
-        assert report.chosen == lex_tiebreak(report.candidates)
+        assert report.chosen == min(report.candidates)
         if symmetric:
             assert len(report.candidates) == factorial(len(system.variables))
 
@@ -200,17 +199,6 @@ class TestMetrics:
 
     def test_ndrr_without_levels(self):
         assert ndrr_value(ProjectionSet((x,), ())) == 0
-
-
-class TestLexTiebreak:
-    def test_pairs(self):
-        assert lex_tiebreak([(y, x), (x, y)]) == (x, y)
-        assert lex_tiebreak([(x, z, y), (x, y, z), (z, x, y)]) == (x, y, z)
-        assert lex_tiebreak([(z, y, x)]) == (z, y, x)
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            lex_tiebreak([])
 
 
 class TestChoose:

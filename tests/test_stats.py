@@ -256,7 +256,7 @@ class TestBestPick:
 def old_saving(table, problem, ordering):
     """The saving as first written, (avg - cells) / avg * 100 for avg the
     mean cell count over all orderings: the reference for `savings_percent`."""
-    prows = table.rows_for(problem)
+    prows = table.index[problem].values()
     avg = Fraction(sum(r.cells for r in prows), len(prows))
     return (avg - table.lookup(problem, ordering).cells) / avg * 100
 
@@ -289,9 +289,9 @@ def plain_quantile(values, q):
 
 
 def scan_report(table, picks):
-    """compute_report as a scan of rows_for per problem and a plain sort."""
+    """compute_report as a scan of each problem's rows and a plain sort."""
     problems = sorted(set.intersection(*map(set, picks.values())))
-    timed_out = {p for p in problems if any(r.timeout for r in table.rows_for(p))}
+    timed_out = {p for p in problems if any(r.timeout for r in table.index[p].values())}
     cells = {h: {p: table.lookup(p, picks[h][p]).cells for p in problems} for h in picks}
     finished = [p for p in problems if all(cells[h][p] is not None for h in picks)]
     per = {}

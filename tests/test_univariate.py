@@ -18,13 +18,11 @@ from cadorder import (
     squarefree_part,
     sturm_sequence,
     to_univariate,
-    univariate_gcd,
 )
 from cadorder.univariate import (
-    _P, _descartes, _exact_div_ints, _gcd_cofactor, _int_coeffs, _pp_ints, _primes,
-    _race, _sturm,
+    _P, _descartes, _exact_div_ints, _gcd_cofactor, _pp_ints, _primes, _race, _sturm,
 )
-from oracles import euclid_gcd
+from oracles import euclid_gcd, textbook_sturm
 
 x = Variable("x")
 
@@ -45,7 +43,7 @@ def from_roots(roots, rootless_quadratics=()):
 
 
 def _mul(p, q):
-    coeffs = [Fraction(0)] * (p.degree + q.degree + 1)
+    coeffs = [0] * (p.degree + q.degree + 1)
     for i, a in enumerate(p.coefficients):
         for j, b in enumerate(q.coefficients):
             coeffs[i + j] += a * b
@@ -71,20 +69,21 @@ class TestToUnivariate:
 
 
 class TestRepresentation:
-    """Integer input stays integer on the way to a root count; any other
-    coefficient becomes a Fraction."""
+    """Coefficients are ints, from the input to a root count."""
 
     def test_integer_input_keeps_ints(self):
         X = Polynomial.variable(x)
         u = to_univariate((X + -1) ** 2 * (X + 2) * 3, x)
         assert u.coefficients == (6, -9, 0, 3)
-        for q in (u, u.derivative(), univariate_gcd(u, u.derivative()), squarefree_part(u)):
+        for q in (u, u.derivative(), squarefree_part(u), *sturm_sequence(u)):
             assert q.coefficients and all(type(c) is int for c in q.coefficients)
 
-    def test_make_keeps_ints_and_converts_the_rest(self):
-        u = UnivariatePolynomial.make(x, [3, 0.5, Fraction(2, 4), True])
-        assert u.coefficients == (3, Fraction(1, 2), Fraction(1, 2), Fraction(1))
-        assert [type(c) for c in u.coefficients] == [int, Fraction, Fraction, Fraction]
+    def test_make_rejects_non_integers(self):
+        for c in (Fraction(1, 2), Fraction(2), 0.5, 2.0, "1", None):
+            with pytest.raises(TypeError, match=f"^coefficient is not an integer: {type(c).__name__}$"):
+                UnivariatePolynomial.make(x, [1, c])
+        u = UnivariatePolynomial.make(x, [3, True, False])  # a bool is an int
+        assert u.coefficients == (3, 1) and [type(c) for c in u.coefficients] == [int, int]
 
     def test_leading_coefficient_of_zero(self):
         lc = upoly().leading_coefficient
@@ -93,22 +92,20 @@ class TestRepresentation:
 
 class TestGcd:
     def test_shared_factor(self):
-        assert univariate_gcd(upoly(-1, 0, 1), upoly(-1, 1)) == upoly(-1, 1)
+        assert _gcd_cofactor([-1, 0, 1], [-1, 1])[0] == [-1, 1]
 
     def test_coprime(self):
-        assert univariate_gcd(upoly(1, 0, 1), upoly(-1, 0, 1)) == upoly(1)
+        assert _gcd_cofactor([1, 0, 1], [-1, 0, 1])[0] == [1]
 
     def test_derivative_pair(self):
         # p = (x-1)^2 and p' share the factor x-1
-        assert univariate_gcd(upoly(1, -2, 1), upoly(-2, 2)) == upoly(-1, 1)
+        assert _gcd_cofactor([1, -2, 1], [-2, 2])[0] == [-1, 1]
 
     def test_both_zero(self):
-        with pytest.raises(ValueError, match="gcd of zeros"):
-            univariate_gcd(upoly(), upoly())
+        assert _gcd_cofactor([], []) == ([], [])
 
     def test_normalization(self):
-        g = univariate_gcd(upoly(Fraction(-3, 2), Fraction(3, 2)), upoly(-6, 6))
-        assert g == upoly(-1, 1)
+        assert _gcd_cofactor([3, -3], [-6, 6])[0] == [-1, 1]
 
 
 class TestSquarefree:
@@ -126,15 +123,9 @@ class TestSquarefree:
         with pytest.raises(ValueError):
             squarefree_part(upoly())
 
-    def test_rational_coefficients(self):
-        # (x-1)^2 / 2 is scaled to integers first
-        assert squarefree_part(upoly(Fraction(1, 2), -1, Fraction(1, 2))) == upoly(-1, 1)
-
-
-def test_int_coeffs():
-    assert _int_coeffs(upoly(3, -6, 9)) == [3, -6, 9]
-    assert _int_coeffs(upoly(Fraction(1, 2), 3, Fraction(-2, 3))) == [3, 18, -4]
-    assert _int_coeffs(upoly()) == []
+    def test_content_is_dropped(self):
+        # 2 (x-1)^2 -> x - 1
+        assert squarefree_part(upoly(2, -4, 2)) == upoly(-1, 1)
 
 
 class TestCoprimeModP:
@@ -146,29 +137,29 @@ class TestCoprimeModP:
         # derivative is a constant, yet the integer gcd is P*x + 1
         factor, rest = upoly(1, _P), upoly(-2, 1)
         p = _mul(_mul(factor, factor), rest)
-        assert univariate_gcd(p, p.derivative()) == factor
+        assert _gcd_cofactor(p.coefficients, p.derivative().coefficients)[0] == [1, _P]
         assert squarefree_part(p) == _mul(factor, rest)
         assert count_distinct_real_roots(p) == 2
 
     def test_unlucky_prime(self):
         # modulo P the pair is x^2 and 2x, with gcd x; over the integers it is 1
         p = upoly(_P, 0, 1)
-        assert univariate_gcd(p, upoly(0, 2)) == upoly(1)
-        assert univariate_gcd(upoly(0, 2), p) == upoly(1)
+        assert _gcd_cofactor([_P, 0, 1], [0, 2])[0] == [1]
+        assert _gcd_cofactor([0, 2], [_P, 0, 1])[0] == [1]
         assert squarefree_part(p) == p
         assert count_distinct_real_roots(p) == 0
 
     def test_prime_divides_other_leading_coefficient(self):
         # only lc of the first operand must be a unit modulo P
-        assert univariate_gcd(upoly(-2, 1), upoly(1, _P)) == upoly(1)
-        assert univariate_gcd(upoly(1, _P), upoly(-2, 1)) == upoly(1)
-        assert univariate_gcd(_mul(upoly(-2, 1), upoly(1, _P)), upoly(-2, 1)) == upoly(-2, 1)
+        assert _gcd_cofactor([-2, 1], [1, _P])[0] == [1]
+        assert _gcd_cofactor([1, _P], [-2, 1])[0] == [1]
+        assert _gcd_cofactor(_mul_ints([-2, 1], [1, _P]), [-2, 1])[0] == [-2, 1]
 
     def test_zero_and_constant_operands(self):
-        assert univariate_gcd(upoly(), upoly(3, -6)) == upoly(-1, 2)
-        assert univariate_gcd(upoly(3, -6), upoly()) == upoly(-1, 2)
-        assert univariate_gcd(upoly(_P), upoly(1, 1)) == upoly(1)
-        assert univariate_gcd(upoly(1, 1), upoly(_P)) == upoly(1)
+        assert _gcd_cofactor([], [3, -6])[0] == [-1, 2]
+        assert _gcd_cofactor([3, -6], [])[0] == [-1, 2]
+        assert _gcd_cofactor([_P], [1, 1])[0] == [1]
+        assert _gcd_cofactor([1, 1], [_P])[0] == [1]
 
 
 def _mul_ints(a, b):
@@ -231,28 +222,26 @@ class TestSturmSequence:
             sturm_sequence(upoly())
 
     def test_two_real_roots(self):
-        assert sturm_sequence(upoly(-1, 0, 1)) == [upoly(-1, 0, 1), upoly(0, 2), upoly(1)]
+        assert sturm_sequence(upoly(-1, 0, 1)) == [upoly(-1, 0, 1), upoly(0, 1), upoly(1)]
 
     def test_linear(self):
         assert sturm_sequence(upoly(0, 1)) == [upoly(0, 1), upoly(1)]
 
     def test_no_real_roots(self):
-        assert sturm_sequence(upoly(1, 0, 1)) == [upoly(1, 0, 1), upoly(0, 2), upoly(-1)]
+        assert sturm_sequence(upoly(1, 0, 1)) == [upoly(1, 0, 1), upoly(0, 1), upoly(-1)]
 
-    def test_rational_chain_is_not_rescaled(self):
+    def test_members_after_p_are_primitive(self):
+        # the textbook chain is x^3 - 3x + 1, 3x^2 - 3, 2x - 1, 9/4
         assert sturm_sequence(upoly(1, -3, 0, 1)) == [
-            upoly(1, -3, 0, 1), upoly(-3, 0, 3), upoly(-1, 2), upoly(Fraction(9, 4)),
+            upoly(1, -3, 0, 1), upoly(-1, 0, 1), upoly(-1, 2), upoly(1),
         ]
+        assert sturm_sequence(upoly(-4, 0, 2)) == [upoly(-4, 0, 2), upoly(0, 1), upoly(1)]
 
 
 class TestRender:
-    def test_exact_rational_coefficients(self):
-        assert str(upoly(Fraction(1, 2), Fraction(-1, 3))) == "-1/3*x + 1/2"
-        assert str(upoly(Fraction(9, 4))) == "9/4"
-
     def test_sturm_chain(self):
         chain = sturm_sequence(upoly(1, -3, 0, 1))
-        assert [str(s) for s in chain] == ["x^3 - 3*x + 1", "3*x^2 - 3", "2*x - 1", "9/4"]
+        assert [str(s) for s in chain] == ["x^3 - 3*x + 1", "x^2 - 1", "2*x - 1", "1"]
 
     def test_integer_polynomials(self):
         assert str(upoly(-2, 0, 1)) == "x^2 - 2"
@@ -262,8 +251,8 @@ class TestRender:
     def test_coefficients_of_any_length(self):
         # 5000 digits, past Python's default int-to-str limit of 4300
         nines, padded = "9" * 5000, "1" + "0" * 4998 + "7"
-        p = upoly(Fraction(10**4999 + 7, 10**5000 - 1), -(10**5000 - 1))
-        assert str(p) == f"-{nines}*x + {padded}/{nines}"
+        p = upoly(10**4999 + 7, -(10**5000 - 1))
+        assert str(p) == f"-{nines}*x + {padded}"
 
 
 class TestRootCounting:
@@ -275,7 +264,7 @@ class TestRootCounting:
             ((1, -2, 1), 1),  # (x - 1)^2
             ((7,), 0),
             ((-7,), 0),
-            ((Fraction(1, 2),), 0),
+            ((1, 0, 0, 0, 1), 0),  # x^4 + 1
         ],
     )
     def test_known_counts(self, coeffs, expected):
@@ -370,17 +359,19 @@ class TestModularGcd:
 
 
 def sturm_oracle(p):
-    """Distinct real roots from the sign variations of the textbook Sturm
-    chain of the squarefree part, at minus and plus infinity."""
-    chain = sturm_sequence(squarefree_part(p))
-    at_pos = [s.leading_coefficient > 0 for s in chain]
-    at_neg = [pos ^ (s.degree % 2 == 1) for pos, s in zip(at_pos, chain)]
+    """Distinct real roots from the sign variations, at minus and plus
+    infinity, of the textbook Sturm chain of p (Fraction long division, in
+    oracles.py).  For a non-squarefree p the chain ends at gcd(p, p'), and
+    dividing every member by it changes no count of variations."""
+    chain = textbook_sturm([Fraction(c) for c in p.coefficients])
+    at_pos = [s[-1] > 0 for s in chain]
+    at_neg = [pos ^ (len(s) % 2 == 0) for pos, s in zip(at_pos, chain)]  # flips for odd degree
     return sum(map(bool.__ne__, at_neg, at_neg[1:])) - sum(map(bool.__ne__, at_pos, at_pos[1:]))
 
 
 def alone(method, p):
     """One side of the race, run to the end on the squarefree part of p."""
-    return _race(method(_int_coeffs(squarefree_part(p))))
+    return _race(method(list(squarefree_part(p).coefficients)))
 
 
 def tagged(method, tag):
@@ -513,7 +504,7 @@ class TestRootCountRace:
 
     def test_each_side_wins_somewhere(self):
         for p, winner in ((dense80(), "descartes"), (mignotte(20, 10), "sturm")):
-            sf = _int_coeffs(squarefree_part(p))
+            sf = list(squarefree_part(p).coefficients)
             count = alone(_descartes, p)
             assert alone(_sturm, p) == count
             assert _race(tagged(_descartes(sf), "descartes"), tagged(_sturm(sf), "sturm")) == (winner, count)
@@ -523,7 +514,7 @@ class TestRootCountRace:
         """The side that returns first has spent no more than the other, so
         the race charges at most twice the cheaper side's total, plus the one
         step the other side may take past it; no clock involved."""
-        sf = _int_coeffs(squarefree_part(p))
+        sf = list(squarefree_part(p).coefficients)
         totals = []
         for method in (_descartes, _sturm):
             costs = []
@@ -541,7 +532,7 @@ class TestRootCountRace:
     def test_steps_each_side_takes(self, p, descartes_steps, sturm_steps):
         """Continued fractions take 14 and 11 Taylor shifts here, where
         bisection took 23 and 130."""
-        sf = _int_coeffs(squarefree_part(p))
+        sf = list(squarefree_part(p).coefficients)
         for method, steps in ((_descartes, descartes_steps), (_sturm, sturm_steps)):
             costs = []
             _race(metered(method(sf), costs))
