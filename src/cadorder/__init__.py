@@ -17,7 +17,7 @@ from .heuristics import (
     ndrr_value,
     sotd_value,
 )
-from .parsing import ParseError, parse_system, render
+from .parsing import ParseError, parse_system
 from .poly import (
     Monomial,
     Polynomial,
@@ -86,7 +86,6 @@ __all__ = [
     "parse_ordering",
     "parse_system",
     "project_once",
-    "render",
     "resultant",
     "savings_percent",
     "sotd_value",

@@ -14,7 +14,7 @@ from functools import cache
 from pathlib import Path
 
 from .heuristics import HEURISTICS, choose, ndrr_value, projections, sotd_value
-from .parsing import ParseError, _decode, parse_system, render
+from .parsing import ParseError, _decode, parse_system
 from .poly import PolySystem
 from .projection import format_ordering, full_projection, parse_ordering
 from .stats import CellTableError, compute_report, emit_report, load_cell_table
@@ -94,14 +94,14 @@ def _cmd_project(args, out) -> None:
     for i, level in enumerate(ps.levels):
         out.write(f"level {n - i}:\n")
         for p in level:
-            out.write(render(p) + "\n")
+            out.write(f"{p}\n")
 
 
 def _cmd_roots(args, out) -> None:
     system = _read_system(args.file)
     for p, position in zip(system.polynomials, system.positions):
         if len(p.variables()) > 1:
-            raise ParseError(f"{args.file}: polynomial is not univariate: {render(p)}", *position)
+            raise ParseError(f"{args.file}: polynomial is not univariate: {p}", *position)
     for p in system.polynomials:
         vs = p.variables()  # a constant has no roots
         out.write(f"{count_distinct_real_roots(to_univariate(p, *vs)) if vs else 0}\n")

@@ -71,7 +71,7 @@ def brown_triple(system: PolySystem, v: Variable) -> BrownTriple:
             if d and c:  # the terms with v^d: c times v^d
                 crit1 = max(crit1, d)
                 crit2 = max(crit2, d + c.total_degree())
-                crit3 += len(c._terms)
+                crit3 += len(c.terms)
     return BrownTriple(crit1, crit2, crit3)
 
 
@@ -101,7 +101,7 @@ def brown_candidates(system: PolySystem) -> list[VariableOrdering]:
 
 def sotd_value(ps: ProjectionSet) -> int:
     """Sum of total degrees of every monomial on every level, input included."""
-    return sum(k >> p._layout.top for level in ps.levels for p in level for k in p._terms)
+    return sum([sum(p.total_degrees()) for level in ps.levels for p in level])
 
 
 def ndrr_value(ps: ProjectionSet) -> int:

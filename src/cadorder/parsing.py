@@ -1,4 +1,4 @@
-"""Parser and renderer for the ``.poly`` problem-file format.
+"""Parser for the ``.poly`` problem-file format.
 
 Format: an optional first significant line ``vars: v1, v2, ...``, then one
 polynomial per line in infix notation with ``+ - * ^``, parentheses,
@@ -18,7 +18,7 @@ import re
 from dataclasses import replace
 from typing import NamedTuple
 
-from .poly import _DIGITS, _WIDTH, Polynomial, PolySystem, Variable, _from_terms, _int_of_digits, _layout
+from .poly import _DIGITS, Polynomial, PolySystem, Variable, _int_of_digits, generators
 
 # Blanks, then one token: an integer, a name (ASCII only, as Variable
 # requires), an operator, the end of the line or any other character.
@@ -77,10 +77,11 @@ def _tokenize(line: str, lineno: int) -> list[_Token]:
 
 
 def _sum(tokens: list[_Token], pos: int, depth: int, lineno: int,
-         declared: list[Variable] | None, lay) -> tuple[Polynomial, int]:
+         declared: list[Variable] | None, gens: dict[Variable, Polynomial]) -> tuple[Polynomial | int, int]:
     """Read a sum of products of signed powers at ``tokens[pos]``, inside
-    ``depth`` parentheses, in the line's layout ``lay``; return it and the
-    position of the token after it.  Only a parenthesis recurses."""
+    ``depth`` parentheses, from the line's ``generators`` and int literals;
+    return it and the position of the token after it.  Only a parenthesis
+    recurses."""
     if tokens[pos].kind == "+":
         pos += 1
     total = product = op = None  # op: the sign before the product being read
@@ -92,15 +93,15 @@ def _sum(tokens: list[_Token], pos: int, depth: int, lineno: int,
         tok = tokens[pos]
         pos += 1
         if tok.kind == "INT":
-            p = _from_terms({0: n} if (n := _int_of_digits(tok.text)) else {}, lay)
+            p = _int_of_digits(tok.text)
         elif tok.kind == "NAME":
             if declared is not None and tok.text not in declared:
                 raise ParseError(f"undeclared variable {tok.text!r}", lineno, tok.col)
-            p = _from_terms({lay.units[tok.text]: 1}, lay)
+            p = gens[tok.text]
         elif tok.kind == "(":
             if depth == _MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", lineno, tok.col)
-            p, pos = _sum(tokens, pos, depth + 1, lineno, declared, lay)
+            p, pos = _sum(tokens, pos, depth + 1, lineno, declared, gens)
             if tokens[pos].kind != ")":
                 raise ParseError("expected ')'", lineno, tokens[pos].col)
             pos += 1
@@ -161,17 +162,14 @@ def parse_system(text: str) -> PolySystem:
         if tokens[0].kind == "END":
             continue  # blank: spaces and tabs at most
         names = declared or {Variable(t.text) for t in tokens if t.kind == "NAME"}
-        p, pos = _sum(tokens, 0, 0, lineno, declared, _layout(tuple(sorted(names)), _WIDTH))
+        p, pos = _sum(tokens, 0, 0, lineno, declared, generators(names))
         if tokens[pos].kind != "END":
             raise ParseError(f"unexpected token {tokens[pos].text!r}", lineno, tokens[pos].col)
+        if isinstance(p, int):  # a line of constants only
+            p = Polynomial.constant(p)
         if p.is_zero():
             raise ParseError("polynomial simplifies to zero", lineno, tokens[0].col)
         first.setdefault(p, (lineno, tokens[0].col))
     if not first:
         raise ParseError("empty system")
     return replace(PolySystem.make(first, variables=declared), positions=tuple(first.values()))
-
-
-def render(p: Polynomial) -> str:
-    """Canonical infix rendering; parse_system(render(p)) re-reads p exactly."""
-    return str(p)

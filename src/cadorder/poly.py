@@ -20,8 +20,8 @@ total degree stays below it.  No field can overflow into the next, so
 - the key of a product of monomials is the sum of their keys; a product whose
   total degree would reach a guard bit is repacked wider first;
 - comparing keys compares the total degree first and then the exponents in
-  name order, which is graded-lex order (``Monomial.order_key``), so the
-  largest key is the leading monomial;
+  name order, which is graded-lex order, so the largest key is the leading
+  monomial;
 - ``k - j`` is the key of a monomial quotient exactly when no guard bit of
   the difference is set: an exponent of j larger than k's borrows, and the
   borrow sets the guard bit of the lowest such field;
@@ -31,10 +31,11 @@ There is one layout per variables and width.  ``PolySystem.make`` repacks a
 system into one, and all that is computed from it keeps that layout, so an
 operation tests one identity; operands in two layouts are repacked into the
 union of their variables at the larger width.  Equality and hashing do not
-depend on the layout.  ``Monomial`` is the only monomial type outside this
-module: ``Polynomial(terms)`` packs a mapping by Monomial, and ``.terms``
-unpacks one anew on each access.  ``_from_terms`` takes as it is a key dict
-that has no zero coefficient by construction.
+depend on the layout.  No other module reads a key: ``Polynomial(terms)``
+packs a mapping by ``Monomial``, ``.terms`` unpacks one anew on each access,
+and ``total_degrees``, ``univariate_coefficients`` and ``generators`` serve
+sotd, the univariate view and the parser.  ``_from_terms`` takes as it is a
+key dict that has no zero coefficient by construction.
 
 A pseudo-remainder in ``resultant`` whose operands have more than
 ``_LOOP_MAX_TERMS`` terms in all runs by Kronecker substitution (von zur
@@ -131,22 +132,6 @@ class Monomial(tuple):
     def total_degree(self) -> int:
         return sum(e for _, e in self)
 
-    def degree_in(self, v: Variable) -> int:
-        for w, e in self:
-            if w == v:
-                return e
-        return 0
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial([*self, *other])  # the exponents of a variable in both are summed
-
-    def order_key(self) -> tuple:
-        """Ascending sort key for descending graded-lex order, variables ranked
-        by name.  Needs no variable list: an absent variable is a zero
-        exponent, and at equal total degree no pair tuple is a strict prefix
-        of another."""
-        return (-self.total_degree, tuple((v, -e) for v, e in self))
-
 
 # Bits per key field, guard bit included, unless a total degree needs more.
 _WIDTH = 16
@@ -198,8 +183,7 @@ class Polynomial:
 
     @staticmethod
     def variable(v: Variable) -> "Polynomial":
-        lay = _layout((v,), _WIDTH)
-        return _from_terms({lay.units[v]: 1}, lay)
+        return generators([v])[v]
 
     # -- basic protocol ----------------------------------------------------
 
@@ -328,6 +312,11 @@ class Polynomial:
         """Maximum monomial total degree; 0 for the zero polynomial."""
         return max(self._terms, default=0) >> self._layout.top
 
+    def total_degrees(self) -> list[int]:
+        """The total degree of each term."""
+        top = self._layout.top
+        return [k >> top for k in self._terms]
+
     def coefficients_wrt(self, v: Variable) -> list["Polynomial"]:
         """Coefficient polynomials of v^0 .. v^deg, none involving ``v``."""
         lay = self._layout
@@ -341,6 +330,18 @@ class Polynomial:
                 buckets.append({})
             buckets[e][k - e * unit] = c
         return [_from_terms(b, lay) for b in buckets]
+
+    def univariate_coefficients(self, v: Variable) -> tuple[int, ...]:
+        """Coefficients of v^0 .. v^deg; ValueError if a term has another variable."""
+        powers, lay = {}, self._layout  # no stored coefficient is 0
+        unit = lay.units.get(v, 0)
+        for k, c in self._terms.items():
+            e = k >> lay.top  # the total degree: the exponent of v if the term is a power of v
+            if k != e * unit:
+                names = ", ".join(sorted(self.variables() - {v}))
+                raise ValueError(f"polynomial is not univariate in {v}: also uses {names}")
+            powers[e] = c
+        return tuple([powers.get(i, 0) for i in range(max(powers, default=-1) + 1)])
 
     def derivative(self, v: Variable) -> "Polynomial":
         # distinct monomials in v stay distinct when v's exponent drops by 1
@@ -361,7 +362,21 @@ class Polynomial:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        return _render(self._terms, self._layout)
+        """Infix text in graded-lex order, each coefficient written exactly in
+        decimal digits; ``parse_system`` re-reads it exactly."""
+        terms, lay = self._terms, self._layout
+        if not terms:
+            return "0"
+        chunks: list[str] = []
+        shifts, mask = lay.shifts.items(), lay.mask
+        for k in sorted(terms, reverse=True):
+            c = terms[k]
+            factors = [f"{v}^{e}" if e > 1 else v for v, s in shifts if (e := k >> s & mask)]
+            if abs(c) != 1 or not factors:
+                factors.insert(0, _decimal(abs(c)))
+            chunks.append(("- " if c < 0 else "+ ") + "*".join(factors))
+        text = " ".join(chunks)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def _from_terms(terms: dict[int, int], lay: _Layout) -> Polynomial:
@@ -370,6 +385,12 @@ def _from_terms(terms: dict[int, int], lay: _Layout) -> Polynomial:
     p = object.__new__(Polynomial)
     p._terms, p._layout = terms, lay
     return p
+
+
+def generators(names: Iterable[Variable]) -> dict[Variable, Polynomial]:
+    """Each named variable as a Polynomial, all in one layout."""
+    lay = _layout(tuple(sorted(names)), _WIDTH)
+    return {v: _from_terms({u: 1}, lay) for v, u in lay.units.items()}
 
 
 def _joint(*polys: Polynomial) -> list[Polynomial]:
@@ -409,23 +430,6 @@ def _int_of_digits(text: str) -> int:
     for i in range(head, len(text), _DIGITS):
         n = n * _BASE + int(text[i:i + _DIGITS])
     return n
-
-
-def _render(terms: Mapping[int, int], lay: _Layout) -> str:
-    """Infix text of a sum of terms by key in ``lay``, in graded-lex order,
-    each coefficient written exactly in decimal digits."""
-    if not terms:
-        return "0"
-    chunks: list[str] = []
-    shifts, mask = lay.shifts.items(), lay.mask
-    for k in sorted(terms, reverse=True):
-        c = terms[k]
-        factors = [f"{v}^{e}" if e > 1 else v for v, s in shifts if (e := k >> s & mask)]
-        if abs(c) != 1 or not factors:
-            factors.insert(0, _decimal(abs(c)))
-        chunks.append(("- " if c < 0 else "+ ") + "*".join(factors))
-    text = " ".join(chunks)
-    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def canonicalize(p: Polynomial) -> Polynomial:
@@ -565,9 +569,9 @@ def _kronecker_prem(a: list, b: list, max_slots: int | None = None) -> list | No
 def _prem(a: list, b: list) -> list:
     """Pseudo-remainder of dense coefficient lists: lc(b)^(da-db+1) * a mod b,
     by fixed-step pseudo-division (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R):
-    each of da - db + 1 steps pops the leading coefficient, scales the rest
-    by lc(b), unless lc(b) is 1, and subtracts the popped one times
-    x^k * b[:-1].  Coefficients may be Polynomials (resultants) or ints
+    each of da - db + 1 steps pops the leading coefficient, scales the rest's
+    nonzero ones by lc(b), unless lc(b) is 1, and subtracts the popped one
+    times x^k * b[:-1].  Coefficients may be Polynomials (resultants) or ints
     (gcd, Sturm chains); `resultant` picks between this loop and
     Kronecker substitution for Polynomial ones.  `_gcd_mod` reduces each
     remainder by a monic b mod p itself."""
@@ -577,7 +581,7 @@ def _prem(a: list, b: list) -> list:
     for k in range(len(a) - len(b), -1, -1):
         lcr = r.pop()
         if scale:
-            r = [lc * c for c in r]
+            r = [lc * c if c else c for c in r]
         if lcr:
             for i, bc in enumerate(tail, k):
                 r[i] -= lcr * bc

@@ -52,7 +52,7 @@ from math import gcd
 from operator import ne
 from typing import Iterable
 
-from .poly import Polynomial, Variable, _layout, _prem, _render, _trim, _width
+from .poly import Monomial, Polynomial, Variable, _prem, _trim
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,10 @@ class UnivariatePolynomial:
 
     variable: Variable
     coefficients: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.coefficients and not self.coefficients[-1]:
+            raise ValueError("the last stored coefficient is 0")
 
     @staticmethod
     def make(variable: Variable, coefficients: Iterable[int]) -> "UnivariatePolynomial":
@@ -89,21 +93,12 @@ class UnivariatePolynomial:
 
     def __str__(self) -> str:
         """Infix text, e.g. ``7*x^3 - x``, as ``str(Polynomial)`` writes it."""
-        lay = _layout((self.variable,), _width(len(self.coefficients)))
-        return _render({i * lay.units[self.variable]: c for i, c in enumerate(self.coefficients) if c}, lay)
+        return str(Polynomial({Monomial({self.variable: i}): c for i, c in enumerate(self.coefficients)}))
 
 
 def to_univariate(p: Polynomial, v: Variable) -> UnivariatePolynomial:
     """View a multivariate polynomial involving at most ``v`` as univariate."""
-    powers, lay = {}, p._layout  # no stored coefficient is 0
-    unit = lay.units.get(v, 0)
-    for k, c in p._terms.items():
-        e = k >> lay.top  # the total degree: the exponent of v if the term is a power of v
-        if k != e * unit:
-            names = ", ".join(sorted(p.variables() - {v}))
-            raise ValueError(f"polynomial is not univariate in {v}: also uses {names}")
-        powers[e] = c
-    return UnivariatePolynomial(v, tuple([powers.get(i, 0) for i in range(max(powers, default=-1) + 1)]))
+    return UnivariatePolynomial(v, p.univariate_coefficients(v))
 
 
 # Coefficient-list kernels.  Integer chains take primitive parts to keep

@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cadorder import Monomial, ParseError, Polynomial, PolySystem, Variable, parse_system, render
+from cadorder import Monomial, ParseError, Polynomial, PolySystem, Variable, parse_system
 from cadorder.poly import _DIGITS
 from conftest import random_polynomial
 from oracles import polynomial_of
@@ -261,18 +261,18 @@ class TestPositions:
 
 class TestRender:
     def test_examples(self):
-        assert render(X**2 + Y) == "x^2 + y"
-        assert render(-4 * Y) == "-4*y"
-        assert render(Polynomial.zero()) == "0"
+        assert str(X**2 + Y) == "x^2 + y"
+        assert str(-4 * Y) == "-4*y"
+        assert str(Polynomial.zero()) == "0"
 
     def test_graded_lex_term_order(self):
         p = X * Y**2 + X**2 * Y + X + Y**3
-        assert render(p) == "x^2*y + x*y^2 + y^3 + x"
+        assert str(p) == "x^2*y + x*y^2 + y^3 + x"
 
     @settings(max_examples=200, deadline=None)
     @given(polynomials())
     def test_round_trip_property(self, p):
-        assert parse_system(render(p)).polynomials == (p,)
+        assert parse_system(str(p)).polynomials == (p,)
 
     def test_coefficients_of_any_length(self):
         # 5000 digits, past Python's default int <-> str limit of 4300; the
@@ -281,12 +281,12 @@ class TestRender:
         text = f"{nines}*x - {padded}"
         (p,) = parse_system(text).polynomials
         assert p == (10**5000 - 1) * X - (10**4999 + 7)
-        assert render(p) == text
-        assert parse_system(render(p)).polynomials == (p,)
+        assert str(p) == text
+        assert parse_system(str(p)).polynomials == (p,)
 
     def test_round_trip(self):
         rng = random.Random(21)
         for _ in range(500):
             n_vars = rng.randint(1, 3)
             p = random_polynomial(rng, [x, y, z][:n_vars], max_degree=5, max_terms=6)
-            assert parse_system(render(p)).polynomials == (p,)
+            assert parse_system(str(p)).polynomials == (p,)

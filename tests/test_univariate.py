@@ -85,6 +85,13 @@ class TestRepresentation:
         u = UnivariatePolynomial.make(x, [3, True, False])  # a bool is an int
         assert u.coefficients == (3, 1) and [type(c) for c in u.coefficients] == [int, int]
 
+    def test_constructor_rejects_a_stored_zero_last(self):
+        # x^2 - 1 with a zero stored above it: every prime divides a zero
+        # leading coefficient, so the gcd of a root count would never return
+        with pytest.raises(ValueError, match="^the last stored coefficient is 0$"):
+            UnivariatePolynomial(x, (-1, 0, 1, 0))
+        assert UnivariatePolynomial.make(x, (-1, 0, 1, 0)).coefficients == (-1, 0, 1)
+
     def test_leading_coefficient_of_zero(self):
         lc = upoly().leading_coefficient
         assert lc == 0 and type(lc) is int
