@@ -90,11 +90,9 @@ def _cmd_project(args, out) -> None:
         ps = full_projection(system, ordering)
     except ValueError as exc:
         raise _UsageError(str(exc))
-    n = len(ps.levels)
     for i, level in enumerate(ps.levels):
-        out.write(f"level {n - i}:\n")
-        for p in level:
-            out.write(f"{p}\n")
+        out.write(f"level {len(ps.levels) - i}:\n")
+        out.writelines(f"{text}\n" for text in sorted(map(str, level)))  # a set, shown in text order
 
 
 def _cmd_roots(args, out) -> None:

@@ -33,16 +33,17 @@ def parse_ordering(text: str) -> VariableOrdering:
 @dataclass(frozen=True)
 class ProjectionSet:
     """Leveled projection polynomials; levels[0] is level n (the input) and
-    levels[-1] is level 1 (univariate in ordering[0], or empty)."""
+    levels[-1] is level 1 (univariate in ordering[0], or empty).  A level is
+    a set, held in the order its polynomials are first produced."""
 
     ordering: VariableOrdering
     levels: tuple[tuple[Polynomial, ...], ...]
 
 
 def reduce_level(polys: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
-    """Canonicalize, drop constants and zeros, deduplicate, sort deterministically."""
+    """Canonicalize, drop constants and zeros, deduplicate; the first appearance keeps its place."""
     canonical = dict.fromkeys(canonicalize(p) for p in polys)  # deduplicated, in order
-    return tuple(sorted((p for p in canonical if not p.is_constant()), key=str))
+    return tuple(p for p in canonical if not p.is_constant())
 
 
 def project_once(level: Iterable[Polynomial], v: Variable) -> tuple[Polynomial, ...]:
@@ -67,7 +68,8 @@ def project_once(level: Iterable[Polynomial], v: Variable) -> tuple[Polynomial, 
 
 
 def full_projection(system: PolySystem, ordering: Sequence[Variable]) -> ProjectionSet:
-    """Project the system level by level down to a univariate level."""
+    """Project the system level by level down to a univariate level; each level
+    lists its polynomials in the deterministic order of their first production."""
     ordering = tuple(ordering)
     if sorted(ordering) != list(system.variables):
         raise ValueError(

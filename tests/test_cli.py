@@ -14,7 +14,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cadorder
-from cadorder import CellTableError, enumerate_orderings, format_ordering, load_cell_table, parse_system
+from cadorder import (
+    CellTableError,
+    enumerate_orderings,
+    format_ordering,
+    full_projection,
+    load_cell_table,
+    parse_system,
+)
 from cadorder.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -469,14 +476,18 @@ def test_outputs_do_not_depend_on_the_hash_seed(seed):
     """Levels, orderings and reports come out in the same order whatever
     Python's string hashes are."""
     env = dict(os.environ, PYTHONPATH=str(Path(cadorder.__file__).parents[1]), PYTHONHASHSEED=seed)
+    p2 = str(FIXTURES / "problems" / "p2.poly")
     bench = ["bench", "--problems", str(FIXTURES / "problems"), "--cells", str(FIXTURES / "bench_cells.csv")]
+    # p2.project.txt holds every ordering's block in tuple order, x>y>z first
+    first_block = (FIXTURES / "cli" / "p2.project.txt").read_bytes().split(b"level 3:\n")[1]
     for args, golden in [
-        (["analyze", str(FIXTURES / "problems" / "p2.poly"), "--format", "json"], "p2.analyze.json"),
-        (bench + ["--format", "json"], "bench.json"),
+        (["analyze", p2, "--format", "json"], (FIXTURES / "cli" / "p2.analyze.json").read_bytes()),
+        (bench + ["--format", "json"], (FIXTURES / "cli" / "bench.json").read_bytes()),
+        (["project", p2, "--order", "x>y>z"], b"level 3:\n" + first_block),
     ]:
         proc = subprocess.run([sys.executable, "-m", "cadorder.cli", *args], capture_output=True, env=env)
         assert (proc.returncode, proc.stderr) == (0, b"")
-        assert proc.stdout == (FIXTURES / "cli" / golden).read_bytes()
+        assert proc.stdout == golden
 
 
 def test_parser_built_on_first_run_only():
@@ -569,9 +580,10 @@ def test_pinned_output_bytes(problem):
     """analyze --format text and json, orderings, project at every ordering
     in lexicographic order, concatenated, and roots on the one univariate
     fixture print exactly the bytes under fixtures/cli; the text files were
-    written before Polynomial stopped caching its text, which reduce_level
-    sorts each projection level by, and the json files before analyze built
-    one record per heuristic for both formats."""
+    written before Polynomial stopped caching its text and before the
+    projection stopped sorting its levels (project sorts each level it
+    prints by text), and the json files before analyze built one record
+    per heuristic for both formats."""
     path = FIXTURES / "problems" / f"{problem}.poly"
     orderings = enumerate_orderings(parse_system(path.read_text()).variables)
     argvs = {
@@ -587,6 +599,44 @@ def test_pinned_output_bytes(problem):
         assert all(code == 0 and err == "" for code, _, err in results)
         text = "".join(out for _, out, _ in results)
         assert text.encode("utf-8") == (FIXTURES / "cli" / f"{problem}.{name}").read_bytes()
+
+
+@st.composite
+def system_lines(draw):
+    """2-3 lines over x, y and maybe z: each a sum of 1 or 2 distinct terms, so
+    never zero, with coefficients in [-4, 4] and exponents at most 2."""
+    names = "xyz"[:draw(st.integers(2, 3))]
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(names)), st.integers(-4, 4).filter(bool),
+                            min_size=1, max_size=2)
+    lines = [
+        " + ".join("*".join([str(c), *(f"{v}^{e}" for v, e in zip(names, exps) if e)]) for exps, c in line.items())
+        for line in draw(st.lists(terms, min_size=2, max_size=3))
+    ]
+    assume(any("^" in line for line in lines))
+    return lines
+
+
+@settings(max_examples=30, deadline=None)
+@given(lines=system_lines(), data=st.data())
+def test_line_order_changes_no_output(tmp_path_factory, lines, data):
+    """A system is a set of polynomials: the same lines reversed or shuffled
+    give the same analyze, orderings and project (every ordering) bytes, and
+    every projection level holds the same set."""
+    reordered = data.draw(st.one_of(st.just(lines[::-1]), st.permutations(lines)))
+    folder = tmp_path_factory.mktemp("line-order")
+    paths = [folder / "given.poly", folder / "reordered.poly"]
+    for path, text in zip(paths, (lines, reordered)):
+        path.write_text("".join(f"{line}\n" for line in text))
+    systems = [parse_system(path.read_text()) for path in paths]
+    orderings = enumerate_orderings(systems[0].variables)
+    argvs = [["analyze", "{}", "--format", "json"], ["orderings", "{}"],
+             *(["project", "{}", "--order", format_ordering(o)] for o in orderings)]
+    for argv in argvs:
+        given_run, reordered_run = (invoke([arg.format(path) for arg in argv]) for path in paths)
+        assert given_run == reordered_run and given_run[0] == 0, argv
+    for ordering in orderings:
+        given_levels, reordered_levels = (full_projection(s, ordering).levels for s in systems)
+        assert [set(level) for level in given_levels] == [set(level) for level in reordered_levels]
 
 
 # the pieces of a short .poly text: names, digits, operators, comments,

@@ -1,6 +1,7 @@
-"""The packed monomial key is ``poly.py``'s own format: every other module
-of the package reaches polynomials through their methods, read here from the
-source with the stdlib ``ast`` module."""
+"""Layering rules, read from the package source with the stdlib ``ast``
+module: the packed monomial key is ``poly.py``'s own format, which every
+other module reaches through polynomial methods, and only the CLI turns a
+projection level into text."""
 
 import ast
 from pathlib import Path
@@ -24,4 +25,27 @@ def test_no_module_but_poly_reads_packed_keys():
                 for alias in node.names:
                     if alias.name.startswith("_") and alias.name not in ALLOWED_PRIVATE:
                         breaches.append(f"{path.name}:{node.lineno}: imports {alias.name}")
+    assert not breaches
+
+
+def _annotations(tree: ast.AST) -> set[int]:
+    """The ids of every node inside a type annotation of the tree: an
+    argument's or an annotated assignment's ``annotation``, or a function's
+    ``returns``."""
+    roots = (getattr(node, field, None) for node in ast.walk(tree) for field in ("annotation", "returns"))
+    return {id(n) for root in roots if root is not None for n in ast.walk(root)}
+
+
+def test_projection_and_heuristics_never_render_a_polynomial():
+    """A projection level is a set and sotd and ndrr are sums over it, so
+    neither module turns anything into text: no ``str(...)`` call, no
+    ``key=str`` and no other use of ``str`` outside a type annotation.  Only
+    the CLI orders a level, where it prints one."""
+    breaches = []
+    for name in ("projection.py", "heuristics.py"):
+        tree = ast.parse((Path(cadorder.__file__).parent / name).read_text(encoding="utf-8"))
+        annotations = _annotations(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "str" and id(node) not in annotations:
+                breaches.append(f"{name}:{node.lineno}: str")
     assert not breaches
