@@ -37,35 +37,43 @@ and ``total_degrees``, ``univariate_coefficients`` and ``generators`` serve
 sotd, the univariate view and the parser.  ``_from_terms`` takes as it is a
 key dict that has no zero coefficient by construction.
 
-A pseudo-remainder in ``resultant`` whose operands have more than
-``_LOOP_MAX_TERMS`` terms in all runs by Kronecker substitution (von zur
-Gathen and Gerhard, *Modern Computer Algebra*, 8.4).  Each coefficient of a
-and b, a polynomial in the other variables, becomes one int, its value at
-x_j = 2^(w s_j): the plain sum of its terms shifted into their slots, where
-s_j is x_j's stride in a dense degree box and w is the slot width in bits.
-The loop of ``_prem`` runs on those ints, and each int of the remainder is
-read back slot by slot into keys, in a layout wide enough for the box.
-Substitution is a ring homomorphism, so no
-intermediate value can overflow; only the remainder has to fit, and with
-steps = len(a) - len(b) + 1 it does:
+``resultant`` runs its whole subresultant chain on integers, by Kronecker
+substitution (von zur Gathen and Gerhard, *Modern Computer Algebra*, 8.4),
+when its operands have more than ``_LOOP_MAX_TERMS`` terms in all.  Let a
+have degree m and b degree n in the main variable.  Each coefficient of a
+and b, a polynomial in the other variables, becomes one int, once: its value
+at y = 2^(w s_y), the plain sum of its terms shifted into their slots, where
+s_y is y's stride in a dense degree box and w is the slot width in bits.
+The chain of ``_subresultants`` (pseudo-remainders, exact divisions by
+g h^delta, the h updates and the last division) runs on those ints, and only
+the resultant is read back.  Each coefficient of a chain member, each g
+and h and the resultant is, up to sign, a minor of the Sylvester matrix,
+whose rows are n shifted copies of a and m of b, so it fits the box:
 
-- the box has max(deg_v a, deg_v b) + steps * deg_v b + 1 slots for each v,
-  deg_v the largest degree in v of a list's coefficients, because each step
-  r <- lc(b) r - lc(r) x^k b raises deg_v r by at most deg_v b;
-- w >= bits(R0) + steps * bits(L) + 1, rounded up to whole bytes, where R0 is
-  the largest 1-norm of a's coefficients and L = |lc b|_1 + max |b_j|_1 over
-  j below the top: that step multiplies the largest 1-norm in r by at most L,
-  an integer coefficient is at most its polynomial's 1-norm, and the last bit
-  is the sign.
+- its degree in y is at most n deg_y a + m deg_y b, deg_y the largest degree
+  in y of a list's coefficients, and the box has that many slots plus one
+  for each y;
+- each of its integer coefficients is at most |a|^n |b|^m in size, |a| and
+  |b| the sums of the 1-norms of a's and of b's coefficients, and w is
+  n bits(|a|) + m bits(|b|) + 1 rounded up to whole bytes, the last bit the
+  sign.
+
+A polynomial that fits the box can be read back from its image, so it is 0
+exactly when its image is, and substitution is a ring homomorphism: each
+zero test of ``_trim`` on an image is the polynomial's own, and where a
+polynomial divides another exactly, the images divide exactly with the
+image of the quotient.  Products and pseudo-remainders on the way need not
+fit; they are plain ints.
 
 An int n is read back by adding the bias B, 2^(w-1) in every slot, which makes
 every slot nonnegative, and taking the XOR with B, which leaves each slot
 holding its coefficient in w-bit two's complement: one ``to_bytes`` gives
 every slot, and a regular-expression scan in C skips the zero ones.  Smaller
-operands keep the loop over Polynomials, where substitution costs more than
-it saves, and so do operands whose box has more than
-``_KRONECKER_SLOTS_PER_TERM`` slots per term, so that a sparse input of high
-degree cannot allocate a huge int.
+operands keep the chain on Polynomials, where substitution costs more than
+it saves, and so do operands whose image, slots times width, would have
+more than ``_KRONECKER_BYTES_PER_TERM`` bytes per term: CPython divides
+long ints in quadratic time, so the route's cost grows with the square of
+the image, while a chain of sparse polynomials stays small.
 """
 
 from __future__ import annotations
@@ -501,69 +509,63 @@ def _trim(coeffs: list) -> list:
     return coeffs
 
 
-# `resultant` keeps the loop of `_prem` when its pseudo-remainder's operands
-# have at most this many terms in all, and substitutes (`_kronecker_prem`)
-# otherwise.  On the
-# benchmark's harvested calls (2-core Xeon, Python 3.11), substitution took
-# 1.6-1.9x the loop's time at up to 4 terms and 1.2-1.3x at 5-10, and 0.7-0.8x
-# at 11-14 and 0.4-0.6x beyond; 28 k of corpus's 30 k calls have at most 10.
-_LOOP_MAX_TERMS = 10
-# ... and when their degree box has at most this many slots per term present.
-# On random sparse operands in two variables substitution broke even at 20-30
-# slots per term and took 1.4x the loop's time at 86 and 13x at 336; no
-# harvested call exceeds 26, and 88 % have at most 2.
-_KRONECKER_SLOTS_PER_TERM = 32
+# `resultant` keeps its chain on Polynomials when its operands have at most
+# this many terms in all, and runs it on Kronecker images otherwise.  On the
+# 9.9 k distinct calls of the benchmark's corpus and hard pools (2-core Xeon,
+# Python 3.11), the route took 1.3-2.1x the chain's time at 2-6 terms, 1.02x
+# at 7, 0.85x at 8, 0.4-0.8x at 9-14 and 0.3-0.8x beyond; 25 k of their 29 k
+# calls have at most 7 terms.  Corpus `cpu_s` medians read 2.97 s with this
+# cutoff, 3.08 s with 10 and 3.25 s with none (10 perfbench runs each).
+_LOOP_MAX_TERMS = 7
+# ... and when an image of their degree box, slots times width, has at most
+# this many bytes per term.  On 531 random pairs in x and 1-4 other
+# variables above the cutoff (each side cut at 3 s), routing by this cap
+# took 93 s in all, the faster side of each pair 86 s, and a cap of 32 slots
+# per term 181 s; caps from 2000 to 3200 read within 2 %.  No harvested call
+# passes 440 bytes per term.
+_KRONECKER_BYTES_PER_TERM = 2048
 _NONZERO_BYTE = re.compile(rb"[^\x00]")
 
 
-def _kronecker_prem(a: list, b: list, max_slots: int | None = None) -> list | None:
-    """``_prem(a, b)`` of Polynomial coefficient lists, which need
-    ``len(a) >= len(b) >= 1``, by Kronecker substitution (see the module
-    docstring): each coefficient becomes one int, the loop of `_prem` runs on
-    the ints, and the remainder's ints are read back slot by slot.  None when
-    the degree box has more than ``max_slots`` slots."""
-    steps = len(a) - len(b) + 1
-    if len({c._layout for c in a + b}) > 1:
-        ab = _joint(*a, *b)
-        a, b = ab[:len(a)], ab[len(a):]
+def _kronecker_resultant(a: list, b: list, max_bytes: int) -> Polynomial | None:
+    """The resultant of Polynomial coefficient lists in one layout, which
+    need ``len(a) >= len(b) >= 2``, by Kronecker substitution (see the module
+    docstring): each coefficient becomes one int, ``_subresultants`` runs on
+    the ints, and the resultant's int is read back slot by slot.  None when
+    an image of the whole degree box would take more than ``max_bytes``
+    bytes."""
+    m, n = len(a) - 1, len(b) - 1
     lay = a[0]._layout
     mask = lay.mask
     dims, slots = [], 1  # (variable, shift, stride, extent) of each variable present, in name order
     for v, s in lay.shifts.items():
-        da, db = (max([k >> s & mask for c in coeffs for k in c._terms], default=0) for coeffs in (a, b))
-        if da or db:
-            extent = max(da, db) + steps * db + 1
+        extent = sum([d * max([k >> s & mask for c in cs for k in c._terms]) for d, cs in ((n, a), (m, b))]) + 1
+        if extent > 1:
             dims.append((v, s, slots, extent))
             slots *= extent
-    if max_slots is not None and slots > max_slots:
+    bits = [sum([abs(t) for c in cs for t in c._terms.values()]).bit_length() for cs in (a, b)]
+    width = (n * bits[0] + m * bits[1]) // 8 + 1
+    if slots * width > max_bytes:
         return None
     out = _layout(lay.variables, max(lay.width, _width(sum([ext - 1 for *_, ext in dims]))))  # fits every slot
-    places = [(out.units[v], stride, extent) for v, _, stride, extent in dims]
-
-    def norm(c: Polynomial) -> int:
-        return sum(map(abs, c._terms.values()))
-
-    lead = norm(b[-1]) + max(map(norm, b[:-1]), default=0)
-    width = (max(map(norm, a), default=0).bit_length() + steps * lead.bit_length()) // 8 + 1
+    places = [(stride, extent, out.units[v]) for v, _, stride, extent in dims]
     half = (1 << (8 * width - 1)).to_bytes(width, "little")  # a slot's bias; width is in bytes
 
     def encode(c: Polynomial) -> int:
-        return sum([n << 8 * width * sum([(k >> s & mask) * st for _, s, st, _ in dims]) for k, n in c._terms.items()])
+        return sum([t << 8 * width * sum([(k >> s & mask) * st for _, s, st, _ in dims]) for k, t in c._terms.items()])
 
-    def decode(n: int) -> Polynomial:
-        count = min(n.bit_length() // (8 * width) + 1, slots)  # up to n's top slot
-        biased = int.from_bytes(half * count, "little")
-        data = ((n + biased) ^ biased).to_bytes(count * width, "little")
-        terms = {}  # each slot of data is now its coefficient in two's complement
-        hit = _NONZERO_BYTE.search(data)
-        while hit:
-            s = hit.start() // width
-            k = sum([s // st % ext * unit for unit, st, ext in places])
-            terms[k] = int.from_bytes(data[s * width:(s + 1) * width], "little", signed=True)
-            hit = _NONZERO_BYTE.search(data, (s + 1) * width)
-        return _from_terms(terms, out)
-
-    return [decode(n) for n in _prem([encode(c) for c in a], [encode(c) for c in b])]
+    res = _subresultants([encode(c) for c in a], [encode(c) for c in b], int.__floordiv__, 1)
+    count = min(res.bit_length() // (8 * width) + 1, slots)  # up to res's top slot
+    biased = int.from_bytes(half * count, "little")
+    data = ((res + biased) ^ biased).to_bytes(count * width, "little")
+    terms = {}  # each slot of data is now its coefficient in two's complement
+    hit = _NONZERO_BYTE.search(data)
+    while hit:
+        i = hit.start() // width
+        terms[sum([i // st % ext * unit for st, ext, unit in places])] = int.from_bytes(
+            data[i * width:(i + 1) * width], "little", signed=True)
+        hit = _NONZERO_BYTE.search(data, (i + 1) * width)
+    return _from_terms(terms, out)
 
 
 def _prem(a: list, b: list) -> list:
@@ -571,10 +573,10 @@ def _prem(a: list, b: list) -> list:
     by fixed-step pseudo-division (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R):
     each of da - db + 1 steps pops the leading coefficient, scales the rest's
     nonzero ones by lc(b), unless lc(b) is 1, and subtracts the popped one
-    times x^k * b[:-1].  Coefficients may be Polynomials (resultants) or ints
-    (gcd, Sturm chains); `resultant` picks between this loop and
-    Kronecker substitution for Polynomial ones.  `_gcd_mod` reduces each
-    remainder by a monic b mod p itself."""
+    times x^k * b[:-1].  Coefficients may be Polynomials (a resultant's chain)
+    or ints: the Kronecker images of a resultant's chain, and the integer gcd
+    and Sturm chains.  `_gcd_mod` reduces each remainder by a monic b mod p
+    itself."""
     lc, tail = b[-1], b[:-1]
     scale = lc not in (1, _ONE)  # two tests, as a Polynomial never equals an int
     r = list(a)
@@ -586,6 +588,33 @@ def _prem(a: list, b: list) -> list:
             for i, bc in enumerate(tail, k):
                 r[i] -= lcr * bc
     return _trim(r)
+
+
+def _subresultants(a: list, b: list, div, one):
+    """The resultant of coefficient lists with ``len(a) >= len(b) >= 2``, by
+    the subresultant remainder sequence (Brown and Traub, *JACM* 18, 1971):
+    ``div`` divides exactly, and ``one`` is the unit of the coefficients,
+    Polynomials or their Kronecker images."""
+    sign, g, h = 1, one, one
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da % 2 == 1 and db % 2 == 1:
+            sign = -sign
+        r = _prem(a, b)
+        a = b
+        denom = g * h**delta
+        b = [div(c, denom) for c in r]
+        if not b:  # a common factor
+            return one * 0
+        g = a[-1]
+        if delta > 0:
+            h = div(g**delta, h ** (delta - 1))
+        if len(b) == 1:
+            break
+    da = len(a) - 1
+    res = div(b[0] ** da, h ** (da - 1))
+    return res if sign > 0 else -res
 
 
 def resultant(p: Polynomial, q: Polynomial, v: Variable) -> Polynomial:
@@ -611,30 +640,10 @@ def resultant(p: Polynomial, q: Polynomial, v: Variable) -> Polynomial:
         a, b = b, a
         if dp % 2 == 1 and dq % 2 == 1:
             sign = -sign
-
-    g, h = _ONE, _ONE
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
-            sign = -sign
-        terms = sum([len(c._terms) for c in a]) + sum([len(c._terms) for c in b])
-        r = _kronecker_prem(a, b, _KRONECKER_SLOTS_PER_TERM * terms) if terms > _LOOP_MAX_TERMS else None
-        if r is None:  # small operands, or a degree box too sparse to substitute
-            r = _prem(a, b)
-        a = b
-        denom = g * h**delta
-        b = [exact_div(c, denom) for c in r]
-        if not b:
-            return Polynomial.zero()
-        g = a[-1]
-        if delta > 0:
-            h = exact_div(g**delta, h ** (delta - 1))
-        if len(b) - 1 == 0:
-            break
-
-    da = len(a) - 1
-    res = exact_div(b[0] ** da, h ** (da - 1))
+    terms = len(p._terms) + len(q._terms)
+    res = _kronecker_resultant(a, b, _KRONECKER_BYTES_PER_TERM * terms) if terms > _LOOP_MAX_TERMS else None
+    if res is None:  # small operands, or an image too large for their terms
+        res = _subresultants(a, b, exact_div, _ONE)
     return res if sign > 0 else -res
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cadorder import (
     Monomial, Polynomial, PolySystem, Variable, canonicalize, discriminant, full_projection, parse_system, resultant,
 )
-from cadorder.poly import _LOOP_MAX_TERMS, _kronecker_prem, _prem, exact_div, generators
+from cadorder.poly import _LOOP_MAX_TERMS, _joint, _kronecker_resultant, _prem, exact_div, generators
 from conftest import random_polynomial
 from oracles import (
     grlex_terms, pair_merge_product, sylvester_resultant, tuple_canonicalize, tuple_coefficients_wrt,
@@ -341,9 +341,10 @@ class TestTrustedConstruction:
         for r in results:
             assert_well_formed(r)
 
-    # `resultant` keeps the loop at most 10 terms in all and substitutes from 11.
+    # `resultant` keeps the loop at most 7 terms in all and substitutes from
+    # 8; on the Kronecker route the one polynomial decoded is the resultant.
     @pytest.mark.parametrize(
-        "kronecker, coefficients, terms", [(False, (1, 3), (1, 2)), (True, (3, 4), (3, 4))], ids=["loop", "kronecker"]
+        "kronecker, coefficients, terms", [(False, (1, 2), (1, 2)), (True, (3, 4), (3, 4))], ids=["loop", "kronecker"]
     )
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -351,9 +352,10 @@ class TestTrustedConstruction:
         monomial = st.tuples(st.integers(0, 2), st.integers(0, 2)).map(lambda t: Monomial({y: t[0], z: t[1]}))
         small = st.dictionaries(monomial, st.integers(-5, 5).filter(bool), min_size=terms[0], max_size=terms[1])
         a = data.draw(st.lists(small.map(Polynomial), min_size=coefficients[0], max_size=coefficients[1]))
-        b = data.draw(st.lists(small.map(Polynomial), min_size=1, max_size=2))
+        b = data.draw(st.lists(small.map(Polynomial), min_size=1 + kronecker, max_size=1 + kronecker))
         assert (sum(len(c.terms) for c in a + b) > _LOOP_MAX_TERMS) == kronecker
-        r = _kronecker_prem(a, b) if kronecker else _prem(a, b)
+        ab = _joint(*a, *b)  # one layout, as resultant passes them
+        r = [_kronecker_resultant(ab[:len(a)], ab[len(a):], 10**6)] if kronecker else _prem(a, b)
         for c in r:
             assert_well_formed(c)
 
