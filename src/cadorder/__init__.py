@@ -39,13 +39,10 @@ from .stats import (
     CellCountTable,
     CellTableError,
     SavingsSummary,
-    best_pick_counts,
     compute_report,
     emit_report,
     load_cell_table,
-    savings_percent,
     summarize,
-    timeout_avoidance,
 )
 from .univariate import (
     UnivariatePolynomial,
@@ -69,7 +66,6 @@ __all__ = [
     "UnivariatePolynomial",
     "Variable",
     "VariableOrdering",
-    "best_pick_counts",
     "brown_candidates",
     "brown_triple",
     "canonicalize",
@@ -87,11 +83,9 @@ __all__ = [
     "parse_system",
     "project_once",
     "resultant",
-    "savings_percent",
     "sotd_value",
     "squarefree_part",
     "sturm_sequence",
     "summarize",
-    "timeout_avoidance",
     "to_univariate",
 ]

@@ -71,7 +71,7 @@ def brown_triple(system: PolySystem, v: Variable) -> BrownTriple:
             if d and c:  # the terms with v^d: c times v^d
                 crit1 = max(crit1, d)
                 crit2 = max(crit2, d + c.total_degree())
-                crit3 += len(c.terms)
+                crit3 += len(c.total_degrees())
     return BrownTriple(crit1, crit2, crit3)
 
 

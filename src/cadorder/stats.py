@@ -10,10 +10,11 @@ saving of each pick relative to the per-problem average over all orderings
 Orderings are handled as tuples of variable names here (a ``Variable`` is its
 name, so a chosen ordering joins as it is); the CSV wire format joins them
 with '>' in reverse-projection order (``x>y>z``).  A table is read in one
-pass into one index by problem and ordering, and its rows are that index
-flattened: file order when each problem's rows are contiguous, otherwise
-grouped by problem in order of first appearance.  It keeps per-problem
-totals; ``summarize`` sorts by an exact float key.
+pass into one index, problem -> ordering -> cell count (None for a timeout),
+which is all it stores; its per-problem totals are computed once, and its
+rows are built from the index on demand.  ``compute_report`` makes one pass
+over the problems every heuristic picked for, and ``summarize`` sorts by an
+exact float key.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
@@ -51,34 +52,35 @@ class CellCountRow(NamedTuple):
 
 @dataclass(frozen=True)
 class CellCountTable:
-    rows: tuple[CellCountRow, ...]  # index flattened, grouped by problem
-    # problem_id -> ordering -> row, built once by load_cell_table
-    index: Mapping[str, Mapping[Ordering, CellCountRow]] = field(repr=False, compare=False)
+    # problem_id -> ordering -> cell count, None for a timeout; problems and
+    # their orderings in order of first appearance
+    index: Mapping[str, Mapping[Ordering, int | None]]
+
+    @property
+    def rows(self) -> tuple[CellCountRow, ...]:
+        """The index flattened, grouped by problem; built anew on each access."""
+        return tuple(CellCountRow(p, o, c, c is None) for p, prows in self.index.items()
+                     for o, c in prows.items())
 
     @cached_property
     def totals(self) -> dict[str, tuple[int, int | None]]:
         """problem_id -> (number of orderings, total cells or None if one timed out)."""
-        cells = {p: [r.cells for r in prows.values()] for p, prows in self.index.items()}
-        return {p: (len(c), None if None in c else sum(c)) for p, c in cells.items()}
+        return {p: (len(c), None if None in c.values() else sum(c.values()))
+                for p, c in self.index.items()}
 
-    def problems(self) -> list[str]:
-        return sorted(self.index)
-
-    def lookup(self, problem_id: str, ordering: Ordering) -> CellCountRow:
-        row = self.index.get(problem_id, {}).get(ordering)
-        if row is None:
+    def lookup(self, problem_id: str, ordering: Ordering) -> int | None:
+        """The cell count of one row, None if it timed out."""
+        try:
+            return self.index[problem_id][ordering]
+        except KeyError:
             raise CellTableError(
                 f"no cell-count row for problem {problem_id!r}, "
                 f"ordering {'>'.join(ordering)}"
-            )
-        return row
-
-    def has_timeout(self, problem_id: str) -> bool:
-        return self.totals.get(problem_id, (0, 0))[1] is None
+            ) from None
 
 
 def load_cell_table(data: bytes | str) -> CellCountTable:
-    """Parse and validate the cell-count CSV.
+    """Parse and validate the cell-count CSV into one index of cell counts.
 
     Requires the exact header ``problem,ordering,cells,timeout``; per problem,
     every permutation of its variable set must appear exactly once, and a
@@ -90,7 +92,7 @@ def load_cell_table(data: bytes | str) -> CellCountTable:
         except ParseError as exc:  # its lines are the lines csv counts
             raise CellTableError(f"line {exc.line}: {exc.reason}") from None
     reader = csv.reader(io.StringIO(data, newline=""))
-    index: dict[str, dict[Ordering, CellCountRow]] = {}
+    index: dict[str, dict[Ordering, int | None]] = {}
     checked: dict[str, Ordering] = {}  # ordering text -> its tuple, checked once
     try:  # csv's own errors: a NUL byte or an overlong field
         header = next(reader, None)
@@ -113,8 +115,7 @@ def load_cell_table(data: bytes | str) -> CellCountTable:
                     raise CellTableError(f"line {lineno}: repeated variable in ordering {ordering_text!r}")
             if timeout_text not in ("0", "1"):
                 raise CellTableError(f"line {lineno}: timeout must be 0 or 1")
-            timeout = timeout_text == "1"
-            if timeout:
+            if timeout_text == "1":
                 if cells_text != "":
                     raise CellTableError(f"line {lineno}: cell count present on a timed-out row")
                 cells = None
@@ -129,7 +130,7 @@ def load_cell_table(data: bytes | str) -> CellCountTable:
                     f"line {lineno}: duplicate row for problem {problem!r}, "
                     f"ordering {ordering_text!r}"
                 )
-            prows[ordering] = CellCountRow(problem, ordering, cells, timeout)
+            prows[ordering] = cells
     except csv.Error as exc:
         raise CellTableError(f"line {reader.line_num}: {exc}") from None
 
@@ -140,47 +141,7 @@ def load_cell_table(data: bytes | str) -> CellCountTable:
             expected[variables] = set(permutations(variables))
         if prows.keys() != expected[variables]:
             raise CellTableError(f"incomplete orderings for problem {problem!r}")
-    return CellCountTable(tuple(row for prows in index.values() for row in prows.values()), index)
-
-
-def best_pick_counts(
-    table: CellCountTable, picks: Mapping[str, Picks]
-) -> dict[str, int]:
-    """How often each heuristic's pick is the most competitive of them all.
-
-    Only problems where every heuristic's pick finished are compared; ties
-    credit every tying heuristic, so counts may sum to more than the number
-    of problems.
-    """
-    heuristics = sorted(picks)
-    problems = sorted(set.intersection(*map(set, picks.values()))) if picks else []
-    counts = {h: 0 for h in heuristics}
-    for problem in problems:
-        cells = [table.lookup(problem, picks[h][problem]).cells for h in heuristics]
-        if None in cells:  # a pick timed out
-            continue
-        best = min(cells)
-        for h, c in zip(heuristics, cells):
-            counts[h] += c == best
-    return counts
-
-
-def savings_percent(table: CellCountTable, pick: Picks) -> dict[str, Fraction]:
-    """Per-problem saving of the pick against the all-orderings average.
-
-    Only problems where no ordering timed out are evaluated.  Positive means
-    the pick beat the average.
-    """
-    out: dict[str, Fraction] = {}
-    for problem in sorted(pick):
-        if problem not in table.totals:
-            raise CellTableError(f"unknown problem {problem!r}")
-        n, total = table.totals[problem]
-        if total is None:
-            continue
-        cells = table.lookup(problem, pick[problem]).cells
-        out[problem] = Fraction(100 * (total - n * cells), total)
-    return out
+    return CellCountTable(index)
 
 
 @dataclass(frozen=True)
@@ -220,17 +181,6 @@ def summarize(values: Sequence[Fraction]) -> SavingsSummary:
     )
 
 
-def timeout_avoidance(table: CellCountTable, pick: Picks) -> int:
-    """Among problems where some ordering timed out, how many picks finished."""
-    count = 0
-    for problem in sorted(pick):
-        if not table.has_timeout(problem):
-            continue
-        if not table.lookup(problem, pick[problem]).timeout:
-            count += 1
-    return count
-
-
 # -- report assembly ---------------------------------------------------------
 
 
@@ -257,25 +207,30 @@ def _heuristic_order(names) -> list[str]:
 
 
 def compute_report(table: CellCountTable, picks: Mapping[str, Picks]) -> BenchReport:
-    """Join heuristic picks against the cell table and compute all statistics."""
-    heuristics = _heuristic_order(picks)
+    """Join heuristic picks against the cell table and compute all statistics
+    in one pass over the problems every heuristic picked for."""
+    heuristics = sorted(picks)  # the order in which picks are looked up
     problems = sorted(set.intersection(*map(set, picks.values()))) if picks else []
     if not problems:
         raise CellTableError("no problems to report on")
-    best = best_pick_counts(table, picks)  # looks up every pick: validates the join
-    n_some_timeout = sum(1 for p in problems if table.has_timeout(p))
-    n_no_timeout = len(problems) - n_some_timeout
-    per: dict[str, HeuristicStats] = {}
-    for h in heuristics:
-        pick = {p: picks[h][p] for p in problems}
-        savings = savings_percent(table, pick)
-        per[h] = HeuristicStats(
-            best_pick_count=best[h],
-            best_pick_pct=Fraction(best[h] * 100, len(problems)),
-            savings=summarize(list(savings.values())) if savings else None,
-            timeout_avoidance_count=timeout_avoidance(table, pick),
-        )
-    return BenchReport(per, len(problems), n_no_timeout, n_some_timeout)
+    best, avoided = dict.fromkeys(heuristics, 0), dict.fromkeys(heuristics, 0)
+    savings: dict[str, list[Fraction]] = {h: [] for h in heuristics}
+    n_some_timeout = 0
+    for problem in problems:
+        cells = [table.lookup(problem, picks[h][problem]) for h in heuristics]
+        n, total = table.totals[problem]  # a known problem once its picks are found
+        n_some_timeout += total is None
+        low = 0 if None in cells else min(cells)  # cells are positive: 0 is no one's best
+        for h, c in zip(heuristics, cells):
+            best[h] += c == low  # ties credit every tying heuristic
+            if total is None:
+                avoided[h] += c is not None
+            else:
+                savings[h].append(Fraction(100 * (total - n * c), total))
+    per = {h: HeuristicStats(best[h], Fraction(best[h] * 100, len(problems)),
+                             summarize(savings[h]) if savings[h] else None, avoided[h])
+           for h in _heuristic_order(picks)}
+    return BenchReport(per, len(problems), len(problems) - n_some_timeout, n_some_timeout)
 
 
 # The seven figures per heuristic: JSON keys, CSV columns and text rows.

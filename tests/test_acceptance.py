@@ -14,7 +14,6 @@ from cadorder import (
     Polynomial,
     PolySystem,
     Variable,
-    best_pick_counts,
     brown_candidates,
     brown_triple,
     choose,
@@ -25,7 +24,6 @@ from cadorder import (
     ndrr_value,
     parse_system,
     sotd_value,
-    timeout_avoidance,
     load_cell_table,
 )
 from cadorder.cli import run
@@ -107,11 +105,11 @@ def test_c5_ordering_enumeration():
 
 def test_c6_stats_fixture_regression():
     table = load_cell_table((FIXTURES / "stats_cells.csv").read_bytes())
-    counts = best_pick_counts(table, FIXTURE_PICKS)
+    rep = compute_report(table, FIXTURE_PICKS)
+    counts = {h: s.best_pick_count for h, s in rep.per_heuristic.items()}
     assert counts == {"brown": 7, "sotd": 6, "ndrr": 6}
     assert sum(counts.values()) > 12  # tie crediting sums past 100%
 
-    rep = compute_report(table, FIXTURE_PICKS)
     expected = {
         "brown": (Fraction(430, 24), Fraction(100, 3), Fraction(-25, 3), Fraction(50)),
         "sotd": (Fraction(130, 24), Fraction(50, 3), Fraction(-75, 2), Fraction(75, 2)),
@@ -123,9 +121,8 @@ def test_c6_stats_fixture_regression():
                           (s.q1_pct, q1), (s.q3_pct, q3)):
             assert abs(float(got) / float(want) - 1) < 1e-9
 
-    assert timeout_avoidance(table, FIXTURE_PICKS["brown"]) == 2
-    assert timeout_avoidance(table, FIXTURE_PICKS["sotd"]) == 3
-    assert timeout_avoidance(table, FIXTURE_PICKS["ndrr"]) == 2
+    avoided = {h: s.timeout_avoidance_count for h, s in rep.per_heuristic.items()}
+    assert avoided == {"brown": 2, "sotd": 3, "ndrr": 2}
     report(6, "stats fixture reproduces hand-computed best-pick/savings/timeouts")
 
 

@@ -1,7 +1,8 @@
 """Layering rules, read from the package source with the stdlib ``ast``
 module: the packed monomial key is ``poly.py``'s own format, which every
-other module reaches through polynomial methods, and only the CLI turns a
-projection level into text."""
+other module reaches through polynomial methods, no module but ``poly.py``
+unpacks the keys into ``Monomial``s, and only the CLI turns a projection
+level into text."""
 
 import ast
 from pathlib import Path
@@ -13,18 +14,32 @@ ALLOWED_PRIVATE = {"_prem", "_trim", "_DIGITS", "_int_of_digits"}
 PACKED_ATTRIBUTES = {"_terms", "_layout"}
 
 
+def _outside_poly():
+    """(file name, parsed tree) of every package module but ``poly.py``."""
+    for path in sorted(Path(cadorder.__file__).parent.glob("*.py")):
+        if path.name != "poly.py":
+            yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_no_module_but_poly_reads_packed_keys():
     breaches = []
-    for path in sorted(Path(cadorder.__file__).parent.glob("*.py")):
-        if path.name == "poly.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for name, tree in _outside_poly():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr in PACKED_ATTRIBUTES:
-                breaches.append(f"{path.name}:{node.lineno}: .{node.attr}")
+                breaches.append(f"{name}:{node.lineno}: .{node.attr}")
             elif isinstance(node, ast.ImportFrom) and node.module in ("poly", "cadorder.poly"):
                 for alias in node.names:
                     if alias.name.startswith("_") and alias.name not in ALLOWED_PRIVATE:
-                        breaches.append(f"{path.name}:{node.lineno}: imports {alias.name}")
+                        breaches.append(f"{name}:{node.lineno}: imports {alias.name}")
+    assert not breaches
+
+
+def test_no_module_but_poly_reads_terms():
+    """``Polynomial.terms`` unpacks every key into a new ``Monomial`` on each
+    access.  It is the boundary for tests and the benchmark harness; the
+    package itself reads polynomials through methods that keep keys packed."""
+    breaches = [f"{name}:{node.lineno}: .terms" for name, tree in _outside_poly()
+                for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "terms"]
     assert not breaches
 
 

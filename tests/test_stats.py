@@ -16,15 +16,12 @@ from cadorder import (
     CellTableError,
     SavingsSummary,
     Variable,
-    best_pick_counts,
     compute_report,
     emit_report,
     load_cell_table,
-    savings_percent,
     summarize,
-    timeout_avoidance,
 )
-from cadorder.stats import BenchReport, HeuristicStats
+from cadorder.stats import BenchReport, CellCountRow, HeuristicStats
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -65,24 +62,40 @@ SIX = small_table(
     [("p1", "x>y>z", 10, 0), ("p1", "x>z>y", 20, 0), ("p1", "y>x>z", 30, 0),
      ("p1", "y>z>x", 40, 0), ("p1", "z>x>y", 50, 0), ("p1", "z>y>x", 60, 0)]
 )
+SIX_ORDERINGS = list(permutations("xyz"))
+
+
+def best_counts(table, picks):
+    """Each heuristic's best-pick count, as compute_report counts it."""
+    return {h: s.best_pick_count for h, s in compute_report(table, picks).per_heuristic.items()}
+
+
+def savings_of(table, pick):
+    """The savings summary of one heuristic's picks, problem -> ordering."""
+    return compute_report(table, {"brown": pick}).per_heuristic["brown"].savings
+
+
+def avoidance(table, pick):
+    """How many of one heuristic's picks avoid a timeout, as compute_report counts them."""
+    return compute_report(table, {"brown": pick}).per_heuristic["brown"].timeout_avoidance_count
 
 
 class TestLoad:
     def test_six_rows_one_problem(self):
-        assert SIX.problems() == ["p1"]
+        assert list(SIX.index) == ["p1"]
         assert len(SIX.rows) == 6
 
-    def test_table_from_rows_and_index(self):
-        # the constructor takes rows and index; the per-problem totals follow from the index
+    def test_table_from_index(self):
+        # the constructor takes the index alone; the per-problem totals follow from it
         table = small_table([("p1", "x>y", 5, 0), ("p1", "y>x", "", 1), ("p2", "x", 7, 0)])
-        built = CellCountTable(table.rows, table.index)
+        built = CellCountTable(table.index)
         assert built == table
+        assert built.index == {"p1": {("x", "y"): 5, ("y", "x"): None}, "p2": {("x",): 7}}
         assert built.totals == {"p1": (2, None), "p2": (1, 7)}
-        assert built.has_timeout("p1") and not built.has_timeout("p2")
 
     def test_timeout_row_with_empty_cells(self):
         table = small_table([("p1", "x>y", 5, 0), ("p1", "y>x", "", 1)])
-        assert table.lookup("p1", ("y", "x")).timeout
+        assert table.lookup("p1", ("y", "x")) is None
 
     def test_incomplete_orderings(self):
         with pytest.raises(CellTableError, match="incomplete orderings"):
@@ -132,7 +145,7 @@ class TestLoad:
         # 5000 digits, past Python's default str-to-int limit of 4300
         cells = "1" + "0" * 4998 + "7"
         table = load_cell_table(f"problem,ordering,cells,timeout\np1,x,{cells},0\n")
-        assert table.lookup("p1", ("x",)).cells == 10**4999 + 7
+        assert table.lookup("p1", ("x",)) == 10**4999 + 7
 
     def test_undecodable_byte_names_line(self):
         with pytest.raises(CellTableError, match=r"^line 3: invalid UTF-8 byte 0xe9$"):
@@ -160,12 +173,15 @@ class TestLoad:
 
     def test_interleaved_problems_grouped_once(self):
         # rows are the index flattened: each row once, grouped by problem in
-        # the order each problem first appears
-        table = small_table([("p1", "x>y", 5, 0), ("p2", "x", 3, 0), ("p1", "y>x", 7, 0)])
-        assert [(r.problem_id, r.ordering) for r in table.rows] == [
-            ("p1", ("x", "y")), ("p1", ("y", "x")), ("p2", ("x",))
-        ]
-        assert CellCountTable(table.rows, table.index) == table
+        # the order each problem first appears, a timeout's cells None
+        table = small_table([("p2", "x", 3, 0), ("p1", "y>x", "", 1), ("p3", "x>y", 4, 0),
+                             ("p1", "x>y", 5, 0), ("p3", "y>x", "", 1)])
+        assert table.rows == (
+            CellCountRow("p2", ("x",), 3, False),
+            CellCountRow("p1", ("y", "x"), None, True), CellCountRow("p1", ("x", "y"), 5, False),
+            CellCountRow("p3", ("x", "y"), 4, False), CellCountRow("p3", ("y", "x"), None, True),
+        )
+        assert CellCountTable(table.index) == table
 
     def test_nonpositive_cells(self):
         with pytest.raises(CellTableError, match="positive integer"):
@@ -202,15 +218,35 @@ class TestLoad:
             small_table([("p1", "x>y", 5, 0), ("p1", "y>x", cells, 0)])
 
 
+class TestTableContract:
+    """The table stores one index of cell counts; its rows, the counter a
+    traced benchmark run reads, are built from that index."""
+
+    def test_lookup_returns_the_cell_count_or_none(self):
+        table = small_table([("p1", "x>y", 5, 0), ("p1", "y>x", "", 1)])
+        assert table.lookup("p1", ("x", "y")) == 5
+        assert type(table.lookup("p1", ("x", "y"))) is int
+        assert table.lookup("p1", ("y", "x")) is None
+
+    @pytest.mark.parametrize("problem, ordering, text", [
+        ("p2", ("x", "y"), "problem 'p2', ordering x>y"),
+        ("p1", ("x", "z"), "problem 'p1', ordering x>z"),
+    ], ids=["unknown-problem", "unknown-ordering"])
+    def test_missing_row_names_problem_and_ordering(self, problem, ordering, text):
+        table = small_table([("p1", "x>y", 5, 0), ("p1", "y>x", "", 1)])
+        with pytest.raises(CellTableError, match=f"^no cell-count row for {text}$"):
+            table.lookup(problem, ordering)
+
+    @pytest.mark.parametrize("name", ["stats_cells.csv", "bench_cells.csv"])
+    def test_one_row_per_data_line(self, name):
+        data = (FIXTURES / name).read_text(encoding="utf-8")
+        table = load_cell_table(data)
+        assert len(table.rows) == sum(1 for line in data.splitlines()[1:] if line)
+        assert all(r.timeout == (r.cells is None) == (table.lookup(r.problem_id, r.ordering) is None)
+                   for r in table.rows)
+
+
 class TestBestPick:
-    def pick_table(self):
-        return small_table(
-            [("p1", "x>y", 20, 0), ("p1", "y>x", 30, 0)]
-        )
-
-    def test_no_heuristics(self):
-        assert best_pick_counts(self.pick_table(), {}) == {}
-
     def test_two_way_tie(self):
         table = small_table([("p1", "x>y", 20, 0), ("p1", "y>x", 30, 0)])
         picks = {
@@ -218,7 +254,7 @@ class TestBestPick:
             "sotd": {"p1": ("x", "y")},
             "ndrr": {"p1": ("y", "x")},
         }
-        assert best_pick_counts(table, picks) == {"brown": 1, "sotd": 1, "ndrr": 0}
+        assert best_counts(table, picks) == {"brown": 1, "sotd": 1, "ndrr": 0}
 
     def test_single_winner(self):
         table = small_table(
@@ -230,17 +266,17 @@ class TestBestPick:
             "sotd": {"p1": ("x", "z", "y")},
             "ndrr": {"p1": ("y", "x", "z")},
         }
-        assert best_pick_counts(table, picks) == {"brown": 1, "sotd": 0, "ndrr": 0}
+        assert best_counts(table, picks) == {"brown": 1, "sotd": 0, "ndrr": 0}
 
     def test_total_tie_credits_all(self):
         table = small_table([("p1", "x>y", 20, 0), ("p1", "y>x", 20, 0)])
         picks = {h: {"p1": o} for h, o in
                  [("brown", ("x", "y")), ("sotd", ("y", "x")), ("ndrr", ("x", "y"))]}
-        assert best_pick_counts(table, picks) == {"brown": 1, "sotd": 1, "ndrr": 1}
+        assert best_counts(table, picks) == {"brown": 1, "sotd": 1, "ndrr": 1}
 
     def test_dangling_pick(self):
-        with pytest.raises(CellTableError, match="no cell-count row"):
-            best_pick_counts(
+        with pytest.raises(CellTableError, match="^no cell-count row for problem 'p1', ordering y$"):
+            compute_report(
                 small_table([("p1", "x", 5, 0)]),
                 {"brown": {"p1": ("y",)}, "sotd": {"p1": ("x",)}, "ndrr": {"p1": ("x",)}},
             )
@@ -249,16 +285,24 @@ class TestBestPick:
         # brown's pick timed out; sotd's pick has no row and is looked up all the same
         table = small_table([("p1", "x>y", "", 1), ("p1", "y>x", 30, 0)])
         picks = {"brown": {"p1": ("x", "y")}, "ndrr": {"p1": ("y", "x")}, "sotd": {"p1": ("y", "z")}}
-        with pytest.raises(CellTableError, match="no cell-count row"):
-            best_pick_counts(table, picks)
+        with pytest.raises(CellTableError, match="^no cell-count row for problem 'p1', ordering y>z$"):
+            compute_report(table, picks)
+
+    def test_timed_out_pick_credits_no_one(self):
+        # p1: brown's pick timed out, so nothing is compared; p2 is compared
+        table = small_table([("p1", "x>y", "", 1), ("p1", "y>x", 30, 0),
+                             ("p2", "x>y", "", 1), ("p2", "y>x", 30, 0)])
+        picks = {"brown": {"p1": ("x", "y"), "p2": ("y", "x")},
+                 "sotd": {"p1": ("y", "x"), "p2": ("y", "x")}}
+        assert best_counts(table, picks) == {"brown": 1, "sotd": 1}
 
 
 def old_saving(table, problem, ordering):
     """The saving as first written, (avg - cells) / avg * 100 for avg the
-    mean cell count over all orderings: the reference for `savings_percent`."""
-    prows = table.index[problem].values()
-    avg = Fraction(sum(r.cells for r in prows), len(prows))
-    return (avg - table.lookup(problem, ordering).cells) / avg * 100
+    mean cell count over all orderings: the reference for compute_report's savings."""
+    cells = table.index[problem].values()
+    avg = Fraction(sum(cells), len(cells))
+    return (avg - table.index[problem][ordering]) / avg * 100
 
 
 @st.composite
@@ -291,8 +335,8 @@ def plain_quantile(values, q):
 def scan_report(table, picks):
     """compute_report as a scan of each problem's rows and a plain sort."""
     problems = sorted(set.intersection(*map(set, picks.values())))
-    timed_out = {p for p in problems if any(r.timeout for r in table.index[p].values())}
-    cells = {h: {p: table.lookup(p, picks[h][p]).cells for p in problems} for h in picks}
+    timed_out = {p for p in problems if None in table.index[p].values()}
+    cells = {h: {p: table.index[p][picks[h][p]] for p in problems} for h in picks}
     finished = [p for p in problems if all(cells[h][p] is not None for h in picks)]
     per = {}
     for h in picks:
@@ -310,55 +354,55 @@ def scan_report(table, picks):
 
 class TestSavings:
     def test_worked_example(self):
-        saving = savings_percent(SIX, {"p1": ("x", "z", "y")})  # pick = 20
-        assert saving["p1"] == Fraction(15 * 100, 35)  # 42.857...%
+        saving = savings_of(SIX, {"p1": ("x", "z", "y")})  # pick = 20
+        assert saving.mean_pct == Fraction(15 * 100, 35)  # 42.857...%
+        assert saving.n_problems == 1
 
     def test_pick_equal_to_average(self):
         table = small_table([("p1", "x>y", 30, 0), ("p1", "y>x", 30, 0)])
-        assert savings_percent(table, {"p1": ("x", "y")}) == {"p1": Fraction(0)}
+        assert savings_of(table, {"p1": ("x", "y")}).mean_pct == 0
 
     def test_worst_pick_is_negative(self):
-        saving = savings_percent(SIX, {"p1": ("z", "y", "x")})  # pick = 60
-        assert saving["p1"] == Fraction(-25 * 100, 35)  # -71.428...%
+        saving = savings_of(SIX, {"p1": ("z", "y", "x")})  # pick = 60
+        assert saving.mean_pct == Fraction(-25 * 100, 35)  # -71.428...%
 
     def test_timeout_problems_skipped(self):
-        table = small_table([("p1", "x>y", 5, 0), ("p1", "y>x", "", 1)])
-        assert savings_percent(table, {"p1": ("x", "y")}) == {}
+        table = small_table([("p1", "x>y", 5, 0), ("p1", "y>x", "", 1),
+                             ("p2", "x>y", 30, 0), ("p2", "y>x", 10, 0)])
+        assert savings_of(table, {"p1": ("x", "y")}) is None
+        saving = savings_of(table, {"p1": ("x", "y"), "p2": ("y", "x")})
+        assert (saving.n_problems, saving.mean_pct) == (1, 50)  # p2 alone: 10 against 20
 
     def test_best_ordering_dominates_any_pick(self):
-        orderings = [("x", "y", "z"), ("x", "z", "y"), ("y", "x", "z"),
-                     ("y", "z", "x"), ("z", "x", "y"), ("z", "y", "x")]
-        best = max(
-            savings_percent(SIX, {"p1": o})["p1"] for o in orderings
-        )
-        for o in orderings:
-            assert savings_percent(SIX, {"p1": o})["p1"] <= best
-            assert savings_percent(SIX, {"p1": o})["p1"] < 100
+        savings = [savings_of(SIX, {"p1": o}).mean_pct for o in SIX_ORDERINGS]
+        for saving in savings:
+            assert saving <= max(savings)
+            assert saving < 100
 
     def test_unknown_problem(self):
-        with pytest.raises(CellTableError, match="unknown problem"):
-            savings_percent(SIX, {"p2": ("x", "y", "z")})
+        with pytest.raises(CellTableError, match="^no cell-count row for problem 'p2', ordering x>y>z$"):
+            savings_of(SIX, {"p2": ("x", "y", "z")})
 
     def test_matches_the_old_formula_on_the_fixture(self):
         table = load_cell_table((FIXTURES / "stats_cells.csv").read_bytes())
+        finished = [p for p in table.index if table.totals[p][1] is not None]
         for pick in FIXTURE_PICKS.values():
-            saving = savings_percent(table, pick)
-            assert len(saving) == 8
-            assert saving == {p: old_saving(table, p, pick[p]) for p in saving}
+            saving = savings_of(table, pick)
+            assert saving.n_problems == len(finished) == 8
+            assert saving == summarize([old_saving(table, p, pick[p]) for p in finished])
 
     @given(tables_and_picks())
     def test_matches_the_old_formula(self, table_and_pick):
         table, pick = table_and_pick
-        expected = {p: old_saving(table, p, o) for p, o in pick.items() if not table.has_timeout(p)}
-        saving = savings_percent(table, pick)
-        assert saving == expected
-        assert all(type(v) is Fraction for v in saving.values())
+        expected = [old_saving(table, p, o) for p, o in pick.items() if None not in table.index[p].values()]
+        saving = savings_of(table, pick)
+        assert saving == (summarize(expected) if expected else None)
+        if saving:
+            assert all(type(v) is Fraction for v in (saving.mean_pct, saving.median_pct,
+                                                     saving.q1_pct, saving.q3_pct))
 
     def test_mean_over_all_orderings_is_zero(self):
-        orderings = [("x", "y", "z"), ("x", "z", "y"), ("y", "x", "z"),
-                     ("y", "z", "x"), ("z", "x", "y"), ("z", "y", "x")]
-        total = sum(savings_percent(SIX, {"p1": o})["p1"] for o in orderings)
-        assert total == 0
+        assert sum(savings_of(SIX, {"p1": o}).mean_pct for o in SIX_ORDERINGS) == 0
 
 
 class TestComputeReport:
@@ -464,20 +508,21 @@ class TestTimeoutAvoidance:
 
     def test_pick_on_finished_ordering_counted(self):
         table = small_table(self.TABLE_ROWS)
-        assert timeout_avoidance(table, {"p1": ("x", "y"), "p2": ("x", "y")}) == 1
+        assert avoidance(table, {"p1": ("x", "y"), "p2": ("x", "y")}) == 1
 
     def test_pick_on_timed_out_ordering_not_counted(self):
         table = small_table(self.TABLE_ROWS)
-        assert timeout_avoidance(table, {"p1": ("y", "x"), "p2": ("x", "y")}) == 0
+        assert avoidance(table, {"p1": ("y", "x"), "p2": ("x", "y")}) == 0
 
     def test_no_timeout_problems_excluded(self):
         table = small_table(self.TABLE_ROWS[2:])
-        assert timeout_avoidance(table, {"p2": ("x", "y")}) == 0
+        assert avoidance(table, {"p2": ("x", "y")}) == 0
 
-    def test_problem_absent_from_table(self):
-        table = small_table(self.TABLE_ROWS)
-        assert table.has_timeout("p9") is False
-        assert timeout_avoidance(table, {"p9": ("x", "y")}) == 0
+    def test_problem_absent_from_picks(self):
+        # p1 timed out somewhere but no heuristic picked for it: it counts nowhere
+        report = compute_report(small_table(self.TABLE_ROWS), {"brown": {"p2": ("x", "y")}})
+        assert (report.n_problems, report.n_no_timeout, report.n_some_timeout) == (1, 1, 0)
+        assert report.per_heuristic["brown"].timeout_avoidance_count == 0
 
 
 class TestFixtureRegression:
@@ -493,7 +538,7 @@ class TestFixtureRegression:
         return load_cell_table((FIXTURES / "stats_cells.csv").read_bytes())
 
     def test_best_pick_counts(self, table):
-        counts = best_pick_counts(table, FIXTURE_PICKS)
+        counts = best_counts(table, FIXTURE_PICKS)
         # Comparable problems: q01..q08 and q10 (q09/q12 have a timed-out
         # pick, q11 times out everywhere).
         assert counts == {"brown": 7, "sotd": 6, "ndrr": 6}
@@ -521,11 +566,11 @@ class TestFixtureRegression:
             assert abs(float(s.q3_pct) / float(q3) - 1) < 1e-9
 
     def test_savings_match_statistics_oracle(self, table):
-        for h in FIXTURE_PICKS:
-            values = sorted(
-                float(v) for v in savings_percent(table, FIXTURE_PICKS[h]).values()
-            )
-            s = summarize(list(savings_percent(table, FIXTURE_PICKS[h]).values()))
+        report = compute_report(table, FIXTURE_PICKS)
+        finished = [p for p in table.index if table.totals[p][1] is not None]
+        for h, pick in FIXTURE_PICKS.items():
+            values = sorted(float(old_saving(table, p, pick[p])) for p in finished)
+            s = report.per_heuristic[h].savings
             q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
             assert float(s.mean_pct) == pytest.approx(statistics.mean(values), rel=1e-9)
             assert float(s.median_pct) == pytest.approx(med, rel=1e-9)
@@ -533,9 +578,8 @@ class TestFixtureRegression:
             assert float(s.q3_pct) == pytest.approx(q3, rel=1e-9)
 
     def test_timeout_avoidance(self, table):
-        assert timeout_avoidance(table, FIXTURE_PICKS["brown"]) == 2
-        assert timeout_avoidance(table, FIXTURE_PICKS["sotd"]) == 3
-        assert timeout_avoidance(table, FIXTURE_PICKS["ndrr"]) == 2
+        per = compute_report(table, FIXTURE_PICKS).per_heuristic
+        assert {h: s.timeout_avoidance_count for h, s in per.items()} == {"brown": 2, "sotd": 3, "ndrr": 2}
 
 
 class TestEmitReport:
