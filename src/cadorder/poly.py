@@ -53,17 +53,22 @@ whose rows are n shifted copies of a and m of b, so it fits the box:
 - its degree in y is at most n deg_y a + m deg_y b, deg_y the largest degree
   in y of a list's coefficients, and the box has that many slots plus one
   for each y;
-- each of its integer coefficients is at most |a|^n |b|^m in size, |a| and
-  |b| the sums of the 1-norms of a's and of b's coefficients, and w is
-  n bits(|a|) + m bits(|b|) + 1 rounded up to whole bytes, the last bit the
-  sign.
+- each of its integer coefficients is at most sqrt(A^n B^m), A and B the
+  sums of the squared 1-norms of a's and b's coefficients (Goldstein and
+  Graham, *SIAM Rev.* 16, 1974): none exceeds the minor's largest value on
+  |y| = 1, where entries are at most their 1-norms and Hadamard's bound is
+  at most the whole rows' 2-norms' product, each row's at least 1 by lc(a)
+  or lc(b); w is bits(isqrt(A^n B^m)) plus a sign bit, in whole bytes.
 
 A polynomial that fits the box can be read back from its image, so it is 0
 exactly when its image is, and substitution is a ring homomorphism: each
 zero test of ``_trim`` on an image is the polynomial's own, and where a
 polynomial divides another exactly, the images divide exactly with the
 image of the quotient.  Products and pseudo-remainders on the way need not
-fit; they are plain ints.
+fit; they are plain ints.  CPython's ``//`` is quadratic, so ``_quotients``
+divides a remainder by g h^delta with one inverse of its odd part mod 2^k,
+lifted by Newton (Jebelean, *J. Symbolic Comput.* 15, 1993), once the divisor
+and the quotients reach ``_INVERSE_MIN_BITS`` bits: each quotient is a product.
 
 An int n is read back by adding the bias B, 2^(w-1) in every slot, which makes
 every slot nonnegative, and taking the XOR with B, which leaves each slot
@@ -71,9 +76,8 @@ holding its coefficient in w-bit two's complement: one ``to_bytes`` gives
 every slot, and a regular-expression scan in C skips the zero ones.  Smaller
 operands keep the chain on Polynomials, where substitution costs more than
 it saves, and so do operands whose image, slots times width, would have
-more than ``_KRONECKER_BYTES_PER_TERM`` bytes per term: CPython divides
-long ints in quadratic time, so the route's cost grows with the square of
-the image, while a chain of sparse polynomials stays small.
+more than ``_KRONECKER_BYTES_PER_TERM`` bytes per term: the route's cost
+grows faster than the image, while a chain of sparse polynomials stays small.
 """
 
 from __future__ import annotations
@@ -518,12 +522,14 @@ def _trim(coeffs: list) -> list:
 # cutoff, 3.08 s with 10 and 3.25 s with none (10 perfbench runs each).
 _LOOP_MAX_TERMS = 7
 # ... and when an image of their degree box, slots times width, has at most
-# this many bytes per term.  On 531 random pairs in x and 1-4 other
-# variables above the cutoff (each side cut at 3 s), routing by this cap
-# took 93 s in all, the faster side of each pair 86 s, and a cap of 32 slots
-# per term 181 s; caps from 2000 to 3200 read within 2 %.  No harvested call
-# passes 440 bytes per term.
-_KRONECKER_BYTES_PER_TERM = 2048
+# this many bytes per term: on 335 random pairs in x and 1-4 other variables
+# (each side cut at 3 s) routing by it took 73 s, by 2048 bytes 108 s and by
+# 32 slots per term 185 s, the faster side 68 s; no harvested call passes 264.
+_KRONECKER_BYTES_PER_TERM = 4800
+# `_quotients` shares an inverse from this many bits of divisor and quotients:
+# on the 2756 divisions of hard's route chains, 0.23 s against 0.49 s by `//`
+# and 0.28 s by inverse alone, and within 1 % for cutoffs of 4000-10000 bits.
+_INVERSE_MIN_BITS = 8000
 _NONZERO_BYTE = re.compile(rb"[^\x00]")
 
 
@@ -543,8 +549,8 @@ def _kronecker_resultant(a: list, b: list, max_bytes: int) -> Polynomial | None:
         if extent > 1:
             dims.append((v, s, slots, extent))
             slots *= extent
-    bits = [sum([abs(t) for c in cs for t in c._terms.values()]).bit_length() for cs in (a, b)]
-    width = (n * bits[0] + m * bits[1]) // 8 + 1
+    norms = [sum([sum([abs(t) for t in c._terms.values()]) ** 2 for c in cs]) for cs in (a, b)]
+    width = math.isqrt(norms[0] ** n * norms[1] ** m).bit_length() // 8 + 1
     if slots * width > max_bytes:
         return None
     out = _layout(lay.variables, max(lay.width, _width(sum([ext - 1 for *_, ext in dims]))))  # fits every slot
@@ -590,6 +596,20 @@ def _prem(a: list, b: list) -> list:
     return _trim(r)
 
 
+def _quotients(nums: list, d, div) -> list:
+    """``[div(n, d) for n in nums]``, each exact; large ints share an inverse (module docstring)."""
+    k = max([n.bit_length() for n in nums], default=0) - d.bit_length() + 2 if type(d) is int else 0
+    if k < _INVERSE_MIN_BITS or d.bit_length() < _INVERSE_MIN_BITS:  # |n // d| < 2^(k-1); k is 0 for a Polynomial
+        return [div(n, d) for n in nums]
+    s, low, half = (d & -d).bit_length() - 1, (1 << k) - 1, 1 << k - 1
+    d, inv, bits = d >> s & low, d >> s & 7, 3  # an odd d is its own inverse mod 8
+    while bits < k:  # d inv = 1 + 2^j e mod 2^bits, so inv - 2^j inv e inverts d mod 2^bits
+        j, bits = bits, min(2 * bits, k)
+        e = (d & (1 << bits) - 1) * inv >> j & (1 << bits - j) - 1
+        inv += (-inv * e & (1 << bits - j) - 1) << j
+    return [((n >> s & low) * inv + half & low) - half for n in nums]
+
+
 def _subresultants(a: list, b: list, div, one):
     """The resultant of coefficient lists with ``len(a) >= len(b) >= 2``, by
     the subresultant remainder sequence (Brown and Traub, *JACM* 18, 1971):
@@ -604,7 +624,7 @@ def _subresultants(a: list, b: list, div, one):
         r = _prem(a, b)
         a = b
         denom = g * h**delta
-        b = [div(c, denom) for c in r]
+        b = _quotients(r, denom, div)
         if not b:  # a common factor
             return one * 0
         g = a[-1]

@@ -14,12 +14,16 @@ in one step.
 ``_LOOP_MAX_TERMS`` terms in all, and the chain of ``_subresultants`` on
 Polynomials otherwise.  The route's tests call it directly on both sides of
 the cutoff and check it against the Polynomial chain and the Sylvester
-determinant of ``tests/oracles.py``.
+determinant of ``tests/oracles.py``.  ``_quotients``, the chain's division
+by one shared 2-adic inverse, is checked against ``//``, and the slot width
+against every value the Polynomial chain computes.
 """
 
+import math
 import random
 import sys
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +31,7 @@ from hypothesis import strategies as st
 
 from cadorder import Monomial, Polynomial, Variable, poly, resultant
 from cadorder.poly import (
-    _KRONECKER_BYTES_PER_TERM, _LOOP_MAX_TERMS, _kronecker_resultant, _prem, _subresultants, exact_div,
+    _KRONECKER_BYTES_PER_TERM, _LOOP_MAX_TERMS, _kronecker_resultant, _prem, _quotients, _subresultants, exact_div,
 )
 from conftest import random_polynomial
 from oracles import sylvester_resultant
@@ -285,9 +289,10 @@ class TestKroneckerPath:
 
     def test_dense_pair_with_many_slots_per_term_takes_the_route(self, monkeypatch):
         # three terms of degree up to 2 in y, z and w in each coefficient of
-        # a cubic and a quadratic in x: 11^3 slots of 4 bytes for 21 terms,
-        # over 60 slots per term but within the byte cap, so the route is
-        # taken; the resultant fills 30 % of the box
+        # a cubic and a quadratic in x: 11^3 slots of 3 bytes for 21 terms
+        # (Goldstein-Graham: isqrt(148^2 121^3) has 18 bits), over 60 slots
+        # per term but within the byte cap, so the route is taken; the
+        # resultant fills 30 % of the box
         rng = random.Random(3)
 
         def coefficient():
@@ -297,7 +302,7 @@ class TestKroneckerPath:
         a, b = [coefficient() for _ in range(4)], [coefficient() for _ in range(3)]
         assert terms(a, b) == 21
         assert all(max(c.degree_in(v) for c in cs) == 2 for cs in (a, b) for v in map(Variable, "yzw"))
-        assert route(a, b, 11**3 * 4) is not None and route(a, b, 11**3 * 4 - 1) is None
+        assert route(a, b, 11**3 * 3) is not None and route(a, b, 11**3 * 3 - 1) is None
         results = []
         monkeypatch.setattr(poly, "_kronecker_resultant",
                             lambda a, b, cap: results.append(_kronecker_resultant(a, b, cap)) or results[-1])
@@ -367,7 +372,7 @@ class TestKroneckerProperty:
         # the route on resultant's own chain inputs and byte cap, under the
         # lowest digit limit Python allows, against the Polynomial chain, the
         # Sylvester determinant and resultant itself; the route declines
-        # about 1 % of these pairs, whose images pass the cap
+        # about 1 in 400 of these pairs, whose images pass the cap
         p, q = operands
         a, b = (c.coefficients_wrt(X_VAR) for c in poly._joint(p, q))
         limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
@@ -381,6 +386,105 @@ class TestKroneckerProperty:
         expected = sylvester_resultant(p, q, X_VAR)
         assert _subresultants(a, b, exact_div, ONE) == expected == resultant(p, q, X_VAR)
         assert got is None or got == expected and all(got.terms.values())
+
+
+CUT = poly._INVERSE_MIN_BITS
+BIT_SIZES = st.sampled_from([0, 1, 2, 64, CUT // 2, CUT - 3, CUT - 1, CUT, CUT + 1, 2 * CUT])
+
+
+@st.composite
+def exact_divisions(draw):
+    """(nums, d, quotients) with nums[i] = quotients[i] * d: d of either sign,
+    an odd part of bit length on both sides of the cutoff (d = +-1 among
+    them) times a power of two up to 2^(3 CUT), and quotients of either
+    sign, some zero, of bit lengths on both sides of the cutoff."""
+    d = (draw(BIT_SIZES.flatmap(lambda n: st.integers(0, 2**n))) | 1) << draw(st.sampled_from([0, 1, 7, 64, CUT, 3 * CUT]))
+    d *= draw(st.sampled_from([1, -1]))
+    quotient = st.one_of(st.just(0), BIT_SIZES.flatmap(lambda n: st.integers(-(2**n), 2**n)))
+    quotients = draw(st.lists(quotient, max_size=6))
+    return [q * d for q in quotients], d, quotients
+
+
+class TestSharedInverse:
+    @settings(max_examples=200, deadline=None)
+    @given(case=exact_divisions())
+    @example(case=([7 * (2**CUT + 1), 0, -(2**CUT + 1)], 2**CUT + 1, [7, 0, -1]))  # quotients below, divisor above
+    @example(case=([3**10000 << 8000, 0], -(1 << 8000), [-(3**10000), 0]))  # a power of two
+    @example(case=([], 5, []))
+    @pytest.mark.parametrize("cutoff", [1, CUT])
+    def test_quotients_equal_floor_division(self, cutoff, case):
+        # the shared inverse against n // d, with the module's cutoff and with
+        # every division by an inverse; // runs exactly where the divisor or
+        # the bound on the quotients falls below the cutoff
+        nums, d, quotients = case
+        fallbacks = []
+        with patch.object(poly, "_INVERSE_MIN_BITS", cutoff):
+            got = _quotients(nums, d, lambda n, e: fallbacks.append(n) or n // e)
+        assert got == [n // d for n in nums] == quotients
+        k = max([n.bit_length() for n in nums], default=0) - d.bit_length() + 2
+        assert (fallbacks == nums) == (min(d.bit_length(), k) < cutoff or not nums)
+        assert fallbacks in ([], nums)
+
+    def test_route_divides_on_both_sides_of_the_cutoff(self, monkeypatch):
+        # a chain of two steps: the first divides by 1, the second by a
+        # divisor and into quotients of over 50,000 bits
+        big = 3**3000
+        a = [big * Y - 1, Y * big + 1, Y + big, big * Y**2]
+        b = [Y - big, 3 + Y, big * Y - 1]
+        sides = set()
+
+        def spy(nums, d, div):
+            k = max([n.bit_length() for n in nums], default=0) - d.bit_length() + 2
+            sides.add(min(d.bit_length(), k) >= CUT)
+            return _quotients(nums, d, div)
+
+        monkeypatch.setattr(poly, "_quotients", spy)
+        got = route(a, b)
+        monkeypatch.undo()
+        assert sides == {False, True}
+        assert got == sylvester_resultant(in_x(a), in_x(b), X_VAR)
+
+
+def goldstein_graham_width(a, b):
+    """The route's slot width in bytes for coefficient lists a and b."""
+    norms = [sum(sum(abs(t) for t in c.terms.values()) ** 2 for c in cs) for cs in (a, b)]
+    return math.isqrt(norms[0] ** (len(b) - 1) * norms[1] ** (len(a) - 1)).bit_length() // 8 + 1
+
+
+@st.composite
+def chain_operands(draw):
+    """(a, b) with len(a) >= len(b) >= 2, in one layout, over 1-3 of y, z, w."""
+    names = draw(st.sampled_from(["y", "z", "w", "yz", "zw", "yw", "ywz"]))
+    a = draw(coefficient_lists(2, 4, names))
+    b = draw(coefficient_lists(2, 3, names))
+    if len(a) < len(b):
+        a, b = b, a
+    return joined(a, b)
+
+
+class TestSlotWidth:
+    @settings(max_examples=100, deadline=None)
+    @given(operands=chain_operands())
+    @example(operands=joined([ZERO, -(2**31 - 1) * Y], [Polynomial.constant(2**31 - 2), ONE]))  # the slot bound
+    def test_every_chain_value_fits_a_slot(self, operands):
+        # the Polynomial chain with a recording div: each chain coefficient,
+        # g, h and the resultant is a quotient of div or the result, and
+        # each of its coefficients must fit a w-byte slot with its sign bit;
+        # the route's byte cap must be exact at slots times w
+        a, b = operands
+        w = goldstein_graham_width(a, b)
+        seen = a + b
+
+        def div(n, d):
+            seen.append(exact_div(n, d))
+            return seen[-1]
+
+        seen.append(_subresultants(a, b, div, ONE))
+        assert all(abs(t) < 2 ** (8 * w - 1) for c in seen for t in c.terms.values())
+        slots = math.prod(
+            (len(b) - 1) * max(c.degree_in(v) for c in a) + (len(a) - 1) * max(c.degree_in(v) for c in b) + 1
+            for v in map(Variable, "ywz"))
+        assert route(a, b, slots * w) is not None and route(a, b, slots * w - 1) is None
 
 
 class TestUnitLeadingCoefficient:
