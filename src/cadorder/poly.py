@@ -521,14 +521,14 @@ def _trim(coeffs: list) -> list:
 # calls have at most 7 terms.  Corpus `cpu_s` medians read 2.97 s with this
 # cutoff, 3.08 s with 10 and 3.25 s with none (10 perfbench runs each).
 _LOOP_MAX_TERMS = 7
-# ... and when an image of their degree box, slots times width, has at most
-# this many bytes per term: on 335 random pairs in x and 1-4 other variables
-# (each side cut at 3 s) routing by it took 73 s, by 2048 bytes 108 s and by
-# 32 slots per term 185 s, the faster side 68 s; no harvested call passes 264.
-_KRONECKER_BYTES_PER_TERM = 4800
-# `_quotients` shares an inverse from this many bits of divisor and quotients:
-# on the 2756 divisions of hard's route chains, 0.23 s against 0.49 s by `//`
-# and 0.28 s by inverse alone, and within 1 % for cutoffs of 4000-10000 bits.
+# ... and when an image of their box, slots times width, has at most this
+# many bytes per term: on 531 random pairs in 1-4 other variables, routing by
+# it took 93 s, the faster side 86 s, 32 slots per term 181 s, 2000-3200 bytes
+# within 2 %.  No harvested call passes 264 bytes per term.
+_KRONECKER_BYTES_PER_TERM = 2048
+# `_quotients` shares an inverse from this many bits of divisor and quotients,
+# where hard's divisions timed alone break even; with the inverse always,
+# perfbench `cpu_s` medians read 0.06 s higher on hard and 0.13 s on corpus.
 _INVERSE_MIN_BITS = 8000
 _NONZERO_BYTE = re.compile(rb"[^\x00]")
 

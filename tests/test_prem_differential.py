@@ -372,7 +372,7 @@ class TestKroneckerProperty:
         # the route on resultant's own chain inputs and byte cap, under the
         # lowest digit limit Python allows, against the Polynomial chain, the
         # Sylvester determinant and resultant itself; the route declines
-        # about 1 in 400 of these pairs, whose images pass the cap
+        # 1-3 % of these pairs, whose images pass the cap
         p, q = operands
         a, b = (c.coefficients_wrt(X_VAR) for c in poly._joint(p, q))
         limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
