@@ -5,8 +5,10 @@ Coefficients are ints.  Gcd, squarefree part, Sturm chain and root counting
 run on integer coefficient lists scaled by positive factors, so root counts
 are exact.  Every remainder comes from `_prem`, the fixed-step
 pseudo-remainder that resultants in poly use too; by a monic divisor and
-reduced mod p it is the remainder over GF(p).  Signs at plus or minus
-infinity are read off leading coefficients and degree parity.
+reduced mod p it is the remainder over GF(p).  One lazy generator,
+`_sturm_chain`, computes the Sturm chain: `sturm_sequence` lists its
+members and root counting runs it.  Signs at plus or minus infinity are
+read off leading coefficients and degree parity.
 
 `_gcd_cofactor` takes the primitive parts of a and b and builds their gcd from
 its images modulo primes below 2^31 (Brown, JACM 18, 1971), from _P = 2^31 - 1
@@ -47,7 +49,7 @@ Python 3.11:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, count
+from itertools import accumulate, count, pairwise
 from math import gcd
 from operator import ne
 from typing import Iterable
@@ -84,13 +86,6 @@ class UnivariatePolynomial:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    @property
-    def leading_coefficient(self) -> int:
-        return self.coefficients[-1] if self.coefficients else 0
-
-    def derivative(self) -> "UnivariatePolynomial":
-        return UnivariatePolynomial.make(self.variable, _derivative(self.coefficients))
-
     def __str__(self) -> str:
         """Infix text, e.g. ``7*x^3 - x``, as ``str(Polynomial)`` writes it."""
         return str(Polynomial({Monomial({self.variable: i}): c for i, c in enumerate(self.coefficients)}))
@@ -114,21 +109,6 @@ def _pp_ints(a: list[int]) -> list[int]:
     """Primitive part, sign preserved."""
     g = gcd(*a)
     return [c // g for c in a]
-
-
-def _remainder_sequence(a: list, b: list, step) -> list[list]:
-    """a, b, step(a, b), step(b, step(a, b)), ... up to the last nonzero member."""
-    seq = [a]
-    while b:
-        seq.append(b)
-        a, b = b, step(a, b)
-    return seq
-
-
-def _negated_prem(a: list, b: list) -> list:
-    """Minus the remainder of a by b, times a positive factor (lc(b)^k for b
-    made positive-leading, since rem(a, -b) = rem(a, b)); 1 when b is monic."""
-    return [-c for c in _prem(a, b if b[-1] > 0 else [-c for c in b])]
 
 
 def _bits(a: list[int]) -> int:
@@ -185,8 +165,10 @@ def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
     def monic(u):
         inv = pow(u[-1], -1, p)
         return [c * inv % p for c in u]
-    return monic(_remainder_sequence([c % p for c in a], [c % p for c in b],
-                                     lambda u, v: _trim([c % p for c in _prem(u, monic(v))]))[-1])
+    a, b = [c % p for c in a], [c % p for c in b]
+    while b:
+        a, b = b, _trim([c % p for c in _prem(a, monic(b))])
+    return monic(a)
 
 
 def _gcd_cofactor(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -232,35 +214,43 @@ def squarefree_part(p: UnivariatePolynomial) -> UnivariatePolynomial:
     return UnivariatePolynomial(p.variable, tuple(sf))
 
 
-def sturm_sequence(p: UnivariatePolynomial) -> list[UnivariatePolynomial]:
-    """Sturm chain of p on integers: p, pp(p'), then the primitive part of
+def _sturm_chain(f):
+    """The integer Sturm chain of f: f, pp(f'), then the primitive part of
     minus the pseudo-remainder of the two members before, until the last
-    nonzero member; `_sturm` runs the same steps.  Each member after p is
-    the textbook one (negated Euclidean remainders over the rationals) made
-    primitive by a positive factor, so sign variations match the textbook
-    chain.  A constant p gives [p]; a non-squarefree p gives a chain that
-    stops at gcd(p, p') instead of a constant.
+    nonzero member.  Dividing by -b instead of b when lc(b) < 0 leaves the
+    remainder unchanged and makes its factor lc(b)^k positive.  Each member
+    is computed only once the one before it has been taken, so a race that
+    stops the Sturm side computes none of its later remainders."""
+    a, b = f, _pp_ints(_derivative(f))
+    yield a
+    while b:
+        yield b
+        a, b = b, _pp_ints([-c for c in _prem(a, b if b[-1] > 0 else [-c for c in b])])
+
+
+def sturm_sequence(p: UnivariatePolynomial) -> list[UnivariatePolynomial]:
+    """The members of `_sturm_chain`, the chain whose remainders `_sturm`
+    computes for root counting.  Each member after p is the textbook one
+    (negated Euclidean remainders over the rationals) made primitive by a
+    positive factor, so sign variations match the textbook chain.  A
+    constant p gives [p]; a non-squarefree p gives a chain that stops at
+    gcd(p, p') instead of a constant.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    chain = _remainder_sequence(p.coefficients, _pp_ints(_derivative(p.coefficients)),
-                                lambda a, b: _pp_ints(_negated_prem(a, b)))
-    return [UnivariatePolynomial(p.variable, tuple(s)) for s in chain]
+    return [UnivariatePolynomial(p.variable, tuple(s)) for s in _sturm_chain(p.coefficients)]
 
 
 def _sturm(f: list[int]):
-    """Sturm's theorem on the chain `sturm_sequence` gives for squarefree f,
-    one remainder per step, each step's modelled cost yielded before it runs;
+    """Sturm's theorem on `_sturm_chain(f)` for squarefree f: the modelled
+    cost of each remainder is yielded before the chain computes it, and
     only the sign of each leading coefficient and the length are kept.  No
     member is zero; at minus infinity a sign flips for odd degree."""
-    a, b = f, _pp_ints(_derivative(f))
-    lcs, sa = [(a[-1] > 0, len(a))], _bits(a)
-    while b:
+    lcs = [(f[-1] > 0, len(f))]
+    for a, b in pairwise(_sturm_chain(f)):
         lcs.append((b[-1] > 0, len(b)))
-        lb, sb = len(b), _bits(b)
-        wr = (sa + (len(a) - lb + 1) * sb) / 64
-        yield 4750 + lb * (105 + 208 * wr + 5 * wr * wr)
-        a, b, sa = b, _pp_ints(_negated_prem(a, b)), sb
+        wr = (_bits(a) + (len(a) - len(b) + 1) * _bits(b)) / 64
+        yield 4750 + len(b) * (105 + 208 * wr + 5 * wr * wr)
     return (_sign_changes([pos ^ (n % 2 == 0) for pos, n in lcs])
             - _sign_changes([pos for pos, _ in lcs]))
 

@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, pairwise
 from pathlib import Path
 
 import pytest
@@ -20,7 +20,7 @@ from cadorder import (
     to_univariate,
 )
 from cadorder.univariate import (
-    _P, _descartes, _exact_div_ints, _gcd_cofactor, _pp_ints, _primes, _race, _sturm,
+    _P, _derivative, _descartes, _exact_div_ints, _gcd_cofactor, _pp_ints, _primes, _race, _sturm,
 )
 from oracles import euclid_gcd, textbook_sturm
 
@@ -75,7 +75,7 @@ class TestRepresentation:
         X = Polynomial.variable(x)
         u = to_univariate((X + -1) ** 2 * (X + 2) * 3, x)
         assert u.coefficients == (6, -9, 0, 3)
-        for q in (u, u.derivative(), squarefree_part(u), *sturm_sequence(u)):
+        for q in (u, squarefree_part(u), *sturm_sequence(u)):
             assert q.coefficients and all(type(c) is int for c in q.coefficients)
 
     def test_make_rejects_non_integers(self):
@@ -91,10 +91,6 @@ class TestRepresentation:
         with pytest.raises(ValueError, match="^the last stored coefficient is 0$"):
             UnivariatePolynomial(x, (-1, 0, 1, 0))
         assert UnivariatePolynomial.make(x, (-1, 0, 1, 0)).coefficients == (-1, 0, 1)
-
-    def test_leading_coefficient_of_zero(self):
-        lc = upoly().leading_coefficient
-        assert lc == 0 and type(lc) is int
 
 
 class TestGcd:
@@ -144,7 +140,7 @@ class TestCoprimeModP:
         # derivative is a constant, yet the integer gcd is P*x + 1
         factor, rest = upoly(1, _P), upoly(-2, 1)
         p = _mul(_mul(factor, factor), rest)
-        assert _gcd_cofactor(p.coefficients, p.derivative().coefficients)[0] == [1, _P]
+        assert _gcd_cofactor(p.coefficients, _derivative(p.coefficients))[0] == [1, _P]
         assert squarefree_part(p) == _mul(factor, rest)
         assert count_distinct_real_roots(p) == 2
 
@@ -366,11 +362,16 @@ class TestModularGcd:
 
 
 def sturm_oracle(p):
-    """Distinct real roots from the sign variations, at minus and plus
-    infinity, of the textbook Sturm chain of p (Fraction long division, in
-    oracles.py).  For a non-squarefree p the chain ends at gcd(p, p'), and
-    dividing every member by it changes no count of variations."""
-    chain = textbook_sturm([Fraction(c) for c in p.coefficients])
+    """Distinct real roots from the textbook Sturm chain of p (Fraction long
+    division, in oracles.py).  For a non-squarefree p the chain ends at
+    gcd(p, p'), and dividing every member by it changes no count of
+    variations."""
+    return chain_count(textbook_sturm([Fraction(c) for c in p.coefficients]))
+
+
+def chain_count(chain):
+    """Sign variations of a Sturm chain of coefficient lists at minus
+    infinity, less those at plus infinity."""
     at_pos = [s[-1] > 0 for s in chain]
     at_neg = [pos ^ (len(s) % 2 == 0) for pos, s in zip(at_pos, chain)]  # flips for odd degree
     return sum(map(bool.__ne__, at_neg, at_neg[1:])) - sum(map(bool.__ne__, at_pos, at_pos[1:]))
@@ -395,6 +396,25 @@ def metered(method, costs):
             return done.value
         costs.append(cost)
         yield cost
+
+
+def sturm_step_cost(a, b):
+    """The module docstring's modelled cost of the Sturm step from a to b."""
+    sa, sb = (max(map(abs, m)).bit_length() for m in (a, b))
+    wr = (sa + (len(a) - len(b) + 1) * sb) / 64
+    return 4750 + len(b) * (105 + 208 * wr + 5 * wr * wr)
+
+
+def assert_sturm_side_runs_sturm_sequence(p):
+    """The race's Sturm side on the squarefree part of p yields the cost of
+    each step between consecutive members of that part's `sturm_sequence`,
+    and returns the sign variations of that chain."""
+    sf = squarefree_part(p)
+    chain = [s.coefficients for s in sturm_sequence(sf)]
+    costs = []
+    count = _race(metered(_sturm(list(sf.coefficients)), costs))
+    assert costs == [sturm_step_cost(a, b) for a, b in pairwise(chain)]
+    assert count == chain_count(chain)
 
 
 def mignotte(d, a):
@@ -515,6 +535,22 @@ class TestRootCountRace:
             count = alone(_descartes, p)
             assert alone(_sturm, p) == count
             assert _race(tagged(_descartes(sf), "descartes"), tagged(_sturm(sf), "sturm")) == (winner, count)
+
+    @pytest.mark.parametrize("p", [
+        pytest.param(dense80(), id="dense80"),
+        pytest.param(mignotte(20, 10), id="mignotte-20-10"),
+        # x^5 + x^2 - 2x - 2: the chain drops from degree 4 to 2, to a member
+        # of negative leading coefficient, so its pseudo-remainder's factor
+        # lc^3 is negative unless the divisor is negated first
+        pytest.param(upoly(-2, -2, 1, 0, 0, 1), id="degree-gap"),
+    ])
+    def test_sturm_side_runs_sturm_sequence(self, p):
+        assert_sturm_side_runs_sturm_sequence(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.one_of(dyadic_products(), continued_fraction_products()))
+    def test_sturm_side_runs_sturm_sequence_on_products(self, p):
+        assert_sturm_side_runs_sturm_sequence(p)
 
     @pytest.mark.parametrize("p", race_inputs())
     def test_race_charges_at_most_twice_the_cheaper_side(self, p):
