@@ -580,8 +580,9 @@ def _prem(a: list, b: list) -> list:
     each of da - db + 1 steps pops the leading coefficient, scales the rest's
     nonzero ones by lc(b), unless lc(b) is 1, and subtracts the popped one
     times x^k * b[:-1].  Coefficients may be Polynomials (a resultant's chain)
-    or ints: the Kronecker images of a resultant's chain, and the integer
-    Sturm chain."""
+    or ints: the Kronecker images of a resultant's chain, and the integer gcd
+    and Sturm chains.  `_gcd_mod` reduces each remainder by a monic b mod p
+    itself."""
     lc, tail = b[-1], b[:-1]
     scale = lc not in (1, _ONE)  # two tests, as a Polynomial never equals an int
     r = list(a)

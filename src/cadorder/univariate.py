@@ -4,22 +4,23 @@ sequences and exact counting of distinct real roots.
 Coefficients are ints.  Gcd, squarefree part, Sturm chain and root counting
 run on integer coefficient lists scaled by positive factors, so root counts
 are exact.  Every remainder comes from `_prem`, the fixed-step
-pseudo-remainder that resultants in poly use too.  One lazy generator,
+pseudo-remainder that resultants in poly use too; by a monic divisor and
+reduced mod p it is the remainder over GF(p).  One lazy generator,
 `_sturm_chain`, computes the Sturm chain: `sturm_sequence` lists its
 members and root counting runs it.  Signs at plus or minus infinity are
 read off leading coefficients and degree parity.
 
-`_gcd_cofactor` is the heuristic gcd (Char, Geddes & Gonnet, J. Symbolic
-Comput. 7, 1989) on the primitive parts of a and b.  It evaluates both at
-x = 2 min(|a|, |b|) + 29 in the max norm (their theorem needs + 2), reads
-gcd(a(x), b(x)) back as base-x digits in the symmetric range, and returns
-their primitive part g once `_exact_div_ints` divides both a and b by it,
-which by the theorem makes g the gcd.  The smaller operand has no root that
-large, so the integer gcd is never 0.  A failed division means the two
-values shared a spurious factor, which divides the resultant of the
-cofactors; x grows to about (1 + sqrt 3) x^(5/4) until it holds that
-factor times g as digits, whose primitive part is g.  The squarefree
-part is that division's quotient of p by gcd(p, p').
+`_gcd_cofactor` takes the primitive parts of a and b and builds their gcd from
+its images modulo primes below 2^31 (Brown, JACM 18, 1971), from _P = 2^31 - 1
+down, skipping any prime that divides lc(a) lc(b).  Euclid over GF(p) gives a
+monic image, which is scaled by gcd(lc a, lc b).  A common factor G keeps its
+degree modulo such a prime, since lc(G) divides lc(a), so no image has a lower
+degree than G: an image of degree 0 proves a and b coprime, and an image of
+more than the least degree seen is unlucky and dropped.  The images of least
+degree are combined by the Chinese remainder theorem in the symmetric range,
+and the primitive part is returned once `_exact_div_ints` divides both a and b
+by it, which makes it +-G; the squarefree part is that division's quotient of
+p by gcd(p, p').  An unlucky prime costs time, never a wrong answer.
 
 Root counting races two exact methods on the squarefree part and returns the
 first count: Descartes' rule of signs in continued fractions (Akritas &
@@ -48,8 +49,8 @@ Python 3.11:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, pairwise
-from math import gcd, isqrt
+from itertools import accumulate, count, pairwise
+from math import gcd
 from operator import ne
 from typing import Iterable
 
@@ -136,36 +137,71 @@ def _exact_div_ints(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
-def _at(a: list[int], x: int) -> int:
-    """a(x) by Horner's rule."""
-    v = 0
-    for c in reversed(a):
-        v = v * x + c
-    return v
+_P = 2**31 - 1  # the first modulus of `_gcd_cofactor`
+_PRIMES = [_P]  # primes below 2^31, descending, found as `_primes` needs them
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to bases 2, 3, 5 and 7, exact for odd 7 < n < 3.2e9."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    return all(pow(a, n >> s, n) == 1 or any(pow(a, (n >> s) << i, n) == n - 1 for i in range(s))
+               for a in (2, 3, 5, 7))
+
+
+def _primes():
+    for i in count():
+        if i == len(_PRIMES):
+            n = _PRIMES[-1] - 2
+            while not _is_prime(n):
+                n -= 2
+            _PRIMES.append(n)
+        yield _PRIMES[i]
+
+
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over GF(p) of a and b, whose leading coefficients p does not
+    divide: Euclid, each remainder `_prem` by the monic divisor, reduced mod p
+    (a ring homomorphism, so it is the remainder over GF(p))."""
+    def monic(u):
+        inv = pow(u[-1], -1, p)
+        return [c * inv % p for c in u]
+    a, b = [c % p for c in a], [c % p for c in b]
+    while b:
+        a, b = b, _trim([c % p for c in _prem(a, monic(b))])
+    return monic(a)
 
 
 def _gcd_cofactor(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     """(g, pp(a) / g) for g the primitive gcd with positive leading
-    coefficient, by the heuristic gcd (see the module docstring); the
-    quotient is the one that proves g."""
+    coefficient, by small primes (see the module docstring); the quotient is
+    the one that proves g."""
     a, b = _pp_ints(a), _pp_ints(b)
     if len(a) < 2 or len(b) < 2:  # a zero or constant operand
         g = [1] if a and b else a or b
         if g and g[-1] < 0:
             g = [-c for c in g]
         return g, _exact_div_ints(a, g) if g else []
-    x = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
-    while True:
-        h, half, g = gcd(_at(a, x), _at(b, x)), x // 2, []
-        while h:  # h > 0, so its top digit, g's leading coefficient, is too
-            g.append((h + half) % x - half)
-            h = (h - g[-1]) // x
-        g = _pp_ints(g)
+    lcg, lclc = gcd(a[-1], b[-1]), a[-1] * b[-1]
+    size, m, image = min(len(a), len(b)) + 1, 1, []
+    for p in _primes():
+        if not lclc % p:
+            continue
+        h = _gcd_mod(a, b, p)
+        if len(h) == 1:
+            return [1], a
+        if len(h) < size:  # every earlier image was unlucky
+            size, m, image = len(h), 1, [0] * len(h)
+        elif len(h) > size:  # this one is
+            continue
+        t = pow(m, -1, p)
+        image = [c + m * ((lcg * d - c) * t % p) for c, d in zip(image, h)]
+        m *= p
+        g = _pp_ints([c - m if 2 * c > m else c for c in image])
         try:
             q, _ = _exact_div_ints(a, g), _exact_div_ints(b, g)
-            return g, q
-        except ArithmeticError:  # a spurious common factor of a(x) and b(x)
-            x = 73794 * x * isqrt(isqrt(x)) // 27011
+        except ArithmeticError:
+            continue
+        return (g, q) if g[-1] > 0 else ([-c for c in g], [-c for c in q])
 
 
 def squarefree_part(p: UnivariatePolynomial) -> UnivariatePolynomial:

@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from itertools import pairwise
+from itertools import islice, pairwise
 from pathlib import Path
 
 import pytest
@@ -19,11 +19,12 @@ from cadorder import (
     sturm_sequence,
     to_univariate,
 )
-from cadorder.univariate import _derivative, _descartes, _exact_div_ints, _gcd_cofactor, _pp_ints, _race, _sturm
+from cadorder.univariate import (
+    _P, _derivative, _descartes, _exact_div_ints, _gcd_cofactor, _pp_ints, _primes, _race, _sturm,
+)
 from oracles import euclid_gcd, textbook_sturm
 
 x = Variable("x")
-_P = 2**31 - 1  # a prime, modulo which some gcd inputs below look coprime or share too much
 
 
 def upoly(*coeffs):
@@ -85,8 +86,8 @@ class TestRepresentation:
         assert u.coefficients == (3, 1) and [type(c) for c in u.coefficients] == [int, int]
 
     def test_constructor_rejects_a_stored_zero_last(self):
-        # x^2 - 1 with a zero stored above it: its stored length would
-        # overstate its degree in every kernel that reads lengths
+        # x^2 - 1 with a zero stored above it: every prime divides a zero
+        # leading coefficient, so the gcd of a root count would never return
         with pytest.raises(ValueError, match="^the last stored coefficient is 0$"):
             UnivariatePolynomial(x, (-1, 0, 1, 0))
         assert UnivariatePolynomial.make(x, (-1, 0, 1, 0)).coefficients == (-1, 0, 1)
@@ -131,8 +132,8 @@ class TestSquarefree:
 
 
 class TestCoprimeModP:
-    """Pairs whose images modulo the prime _P mislead: a modular gcd would
-    take them for coprime, or for sharing a factor; the integer gcd must not."""
+    """The gcd proves a pair coprime from its images modulo _P; these inputs
+    must take the integer chain instead."""
 
     def test_prime_divides_leading_coefficient(self):
         # (P*x + 1)^2 (x - 2): modulo P it is x - 2, whose gcd with its
@@ -152,7 +153,7 @@ class TestCoprimeModP:
         assert count_distinct_real_roots(p) == 0
 
     def test_prime_divides_other_leading_coefficient(self):
-        # _P divides the leading coefficient of one operand, in either order
+        # only lc of the first operand must be a unit modulo P
         assert _gcd_cofactor([-2, 1], [1, _P])[0] == [1]
         assert _gcd_cofactor([1, _P], [-2, 1])[0] == [1]
         assert _gcd_cofactor(_mul_ints([-2, 1], [1, _P]), [-2, 1])[0] == [-2, 1]
@@ -172,8 +173,8 @@ def _mul_ints(a, b):
     return out
 
 
-# small coefficients, and multiples and neighbours of _P, so that leading
-# coefficients divisible by _P and misleading images modulo _P both turn up
+# small coefficients, and multiples and neighbours of P, so that leading
+# coefficients divisible by P and unlucky images both turn up
 _COEFFICIENTS = st.one_of(
     st.integers(-6, 6), st.sampled_from([_P, -_P, 2 * _P, _P + 1, _P - 1, _P * _P])
 )
@@ -317,22 +318,34 @@ class TestRootCounting:
 
 
 class TestModularGcd:
-    """Gcds whose coefficients, or images modulo _P, would trouble a gcd
-    built from images modulo primes."""
-
     def test_gcd_above_the_modulus(self):
-        # coefficients past 2^31, and a content that the primitive part drops
+        # coefficients past 2^31: one image cannot hold them, CRT needs two primes
         g = [-(2**45 + 7), 2**33 - 5, 2**40 + 3]
         a, b = _mul_ints(g, [2, 1]), _mul_ints(g, [-1, 0, 3])
         assert _gcd_cofactor(a, b)[0] == g
         assert _gcd_cofactor(_mul_ints(a, [5]), [-c for c in b])[0] == g
 
+    def test_unlucky_primes_in_a_row(self):
+        # modulo each of the first two primes the pair is x^2 and 2x, with gcd
+        # x; the images agree, yet over the integers the gcd is 1
+        first, second = islice(_primes(), 2)
+        assert _gcd_cofactor([first * second, 0, 1], [0, 2])[0] == [1]
+
     def test_unlucky_first_prime_is_reset(self):
-        # modulo _P, x + 2 + _P is x + 2, so there the pair shares a factor of
-        # degree 2; over the integers the gcd is x + 1
+        # modulo _P, x + 2 + _P is x + 2, so the first image has degree 2; the
+        # second prime's image has degree 1 and replaces it
         a = _mul_ints([1, 1], [2, 1])
         b = _mul_ints([1, 1], [2 + _P, 1])
         assert _gcd_cofactor(a, b)[0] == euclid_gcd(a, b) == [1, 1]
+
+    def test_unlucky_later_prime_is_skipped(self):
+        # the first image is G; modulo the second prime x + 1 + p2 is x + 1, so
+        # the second image has degree 2 and is dropped, and a third prime
+        # completes G's coefficients above 2^31
+        p2 = list(islice(_primes(), 2))[1]
+        g = [2**40 + 1, 1]
+        a, b = _mul_ints(g, [1, 1]), _mul_ints(g, [1 + p2, 1])
+        assert _gcd_cofactor(a, b)[0] == euclid_gcd(a, b) == g
 
     @pytest.mark.parametrize("a, b", [
         ([-6, 4, 2], [-2, 2]),  # gcd x - 1, cofactor of pp(a) x + 3

@@ -4,12 +4,15 @@ integer polynomials with repeated factors, gaps in degree and negative
 leading coefficients.  A gap in degree is where the pseudo-remainder's
 leftover lc(b)**e factor enters the integer chains.  Products of
 consecutive linear factors, whose values at every integer share a fixed
-divisor, can give the heuristic gcd spurious common factors of its values.
-`_prem` by a monic divisor reduced mod a prime is checked against sympy's
-remainder over GF(p)."""
+divisor, are where a gcd computed from values meets spurious common
+factors.  The remainder over
+GF(_P) of the modular gcd, `_prem` by a monic image reduced mod _P, is
+checked against sympy's modular remainder, the gcd over GF(_P) against
+sympy's, and its primes against sympy's."""
 
 import random
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 import pytest
@@ -20,17 +23,15 @@ from cadorder import (
     count_distinct_real_roots,
     squarefree_part,
     sturm_sequence,
-    univariate,
 )
 from cadorder.poly import _prem, _trim
-from cadorder.univariate import _exact_div_ints, _gcd_cofactor
+from cadorder.univariate import _P, _gcd_cofactor, _gcd_mod, _primes
 from oracles import textbook_sturm
 
 sympy = pytest.importorskip("sympy")
 
 x = Variable("x")
 X = sympy.Symbol("x")
-_P = 2**31 - 1  # the prime of the GF(p) remainder tests
 
 
 def _mul(a, b):
@@ -113,29 +114,6 @@ def test_gcd_matches_sympy(seed):
     assert _gcd_cofactor(p, q)[0] == expected
 
 
-@pytest.mark.parametrize("a, b, points", [
-    pytest.param([1, -2, 3, -3], [3, 3, 3, -1], 2, id="coprime-2-points"),
-    pytest.param([0, 0, 1, -3], [2, -1, 1, 1], 3, id="coprime-3-points"),
-    pytest.param(_mul(consecutive(1, 12), [1, 0, 1]), _mul(consecutive(13, 24), [1, 0, 1]), 2, id="fixed-divisor"),
-])
-def test_gcd_retries_past_a_spurious_factor(monkeypatch, a, b, points):
-    """The values at the first point share a factor that a and b do not, so
-    the candidate read from them divides neither; a later point gives the
-    gcd.  Each point but the last fails one exact division."""
-    failed = []
-
-    def recording(u, v):
-        try:
-            return _exact_div_ints(u, v)
-        except ArithmeticError:
-            failed.append(v)
-            raise
-
-    monkeypatch.setattr(univariate, "_exact_div_ints", recording)
-    assert _gcd_cofactor(a, b)[0] == primitive_positive(sympy.gcd(sym(a), sym(b)))
-    assert len(failed) == points - 1
-
-
 def primitive(member):
     """The textbook member, a list of Fractions, times the positive rational
     that makes it an integer list of content 1."""
@@ -205,7 +183,8 @@ def test_large_dense_inputs_match_sympy(p, f, squared):
 
 @pytest.mark.parametrize("p, f", LARGE[:2], ids=["degree-60", "degree-80"])
 def test_large_dense_gcd_matches_sympy(p, f):
-    """A coprime pair, and the same pair times a common factor."""
+    """A coprime pair, proved so modulo a prime, and the same pair times a
+    common factor, whose gcd the small-primes loop finds."""
     q = dense(random.Random(len(p)), len(p) - 1)
     assert _gcd_cofactor(p, q)[0] == [1]
     assert primitive_positive(sympy.gcd(sym(p), sym(q))) == [1]
@@ -242,3 +221,21 @@ def test_remainder_mod_p_matches_sympy(seed, da, db):
         expected.pop()
     inv = pow(b[-1], -1, _P)
     assert _trim([c % _P for c in _prem(a, [c * inv % _P for c in b])]) == expected
+
+
+@pytest.mark.parametrize("seed, da, db", [(i, da, db) for i, (da, db) in enumerate(MOD_P_DEGREES)])
+def test_gcd_mod_p_matches_sympy(seed, da, db):
+    # a common factor, so that the gcd is not always 1
+    rng = random.Random(800 + seed)
+    f = mod_p_operand(rng, rng.randint(0, 3))
+    a, b = _mul(mod_p_operand(rng, da), f), _mul(mod_p_operand(rng, db), f)
+    mod_p = [sympy.Poly(list(reversed(c)), X, modulus=_P) for c in (a, b)]
+    expected = [int(c) % _P for c in reversed(mod_p[0].gcd(mod_p[1]).monic().all_coeffs())]
+    assert _gcd_mod(a, b, _P) == expected
+
+
+def test_primes_are_the_primes_below_p():
+    primes = [_P]
+    while len(primes) < 60:
+        primes.append(sympy.prevprime(primes[-1]))
+    assert list(islice(_primes(), 60)) == primes
